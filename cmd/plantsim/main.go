@@ -58,14 +58,14 @@ func main() {
 	}
 	if opts.Search == mc.BestTime {
 		opts.TimeClock = p.GlobalClock
-		opts.TimeHorizon = synthParams.Deadline * int32(len(cfg.Qualities)+2)
+		opts.TimeHorizon = cfg.TimeHorizon()
 	}
 	rep := sf.Instrument("plantsim", fmt.Sprintf("%d batches, %s timing", *batches, timingName(*resynth, *wear)),
 		&opts, p.Sys, &p.Goal)
 
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
-	res, err := core.SynthesizeContext(ctx, cfg, opts, synth.Options{})
+	res, err := core.SynthesizePlant(ctx, p, opts, synth.Options{})
 	if werr := sf.WriteReport(rep); werr != nil {
 		fatal(werr)
 	}

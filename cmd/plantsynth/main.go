@@ -80,17 +80,14 @@ func main() {
 	}
 	if opts.Search == mc.BestTime {
 		opts.TimeClock = p.GlobalClock
-		opts.TimeHorizon = cfg.Params.Deadline * int32(len(cfg.Qualities)+2)
-		if cfg.Params == (plant.Params{}) {
-			opts.TimeHorizon = plant.DefaultParams().Deadline * int32(len(cfg.Qualities)+2)
-		}
+		opts.TimeHorizon = cfg.TimeHorizon()
 	}
 	rep := sf.Instrument("plantsynth", fmt.Sprintf("%d batches, %s guides", len(cfg.Qualities), guides),
 		&opts, p.Sys, &p.Goal)
 
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
-	res, err := core.SynthesizeContext(ctx, cfg, opts, synth.Options{})
+	res, err := core.SynthesizePlant(ctx, p, opts, synth.Options{})
 	// The report carries whatever the search returned — also for aborted
 	// or infeasible searches, where synthesis errors out below.
 	if werr := sf.WriteReport(rep); werr != nil {

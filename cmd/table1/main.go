@@ -188,7 +188,7 @@ func runCell(ctx context.Context, sf *cliutil.SearchFlags, rep *cliutil.Report, 
 	}
 	if rep != nil {
 		run := rep.Run(fmt.Sprintf("batches=%d guides=%v search=%v", n, g, s))
-		run.SetModel(p.Sys, &p.Goal)
+		run.SetModel(p.Sys, &p.Goal, opts.Checkpoint.ModelSHA)
 		run.SetOptions(opts)
 		obs = append(obs, run.Observer())
 	}

@@ -102,7 +102,7 @@ func TestReportMatchesSchemaAndStats(t *testing.T) {
 	sys, goal := reportModel(t)
 	rep := NewReport("cliutil-test")
 	run := rep.Run("tiny")
-	run.SetModel(sys, &goal)
+	run.SetModel(sys, &goal, "")
 	opts := mc.DefaultOptions(mc.BFS)
 	opts.SnapshotEvery = time.Millisecond
 	opts.Observer = run.Observer()
@@ -137,7 +137,7 @@ func TestReportMatchesSchemaAndStats(t *testing.T) {
 	// rebuilding the same model gives the same identity.
 	sys2, goal2 := reportModel(t)
 	run2 := &RunReport{}
-	run2.SetModel(sys2, &goal2)
+	run2.SetModel(sys2, &goal2, "")
 	if run2.Model.SHA256 != run.Model.SHA256 {
 		t.Error("identical models got different hashes")
 	}

@@ -169,7 +169,7 @@ func (f *SearchFlags) Instrument(tool, name string, opts *mc.Options, sys *ta.Sy
 	if f.Report != "" {
 		rep = NewReport(tool)
 		run := rep.Run(name)
-		run.SetModel(sys, goal)
+		run.SetModel(sys, goal, "")
 		run.SetOptions(*opts)
 		obs = append(obs, run.Observer())
 	}

@@ -135,9 +135,11 @@ func (r *Report) WriteFile(path string) error {
 }
 
 // SetModel records the model identity (and, from goal, the query). Both
-// arguments are optional; a model that cannot be serialized keeps an empty
-// hash rather than failing the run.
-func (rr *RunReport) SetModel(sys *ta.System, goal *mc.Goal) {
+// model arguments are optional. digest is the model's tadsl.Hash when the
+// caller already computed it (the synthesis service hashes every model at
+// admission); "" means compute it here. A model that cannot be serialized
+// keeps an empty hash rather than failing the run.
+func (rr *RunReport) SetModel(sys *ta.System, goal *mc.Goal, digest string) {
 	if goal != nil {
 		rr.Query = goal.String()
 	}
@@ -154,9 +156,10 @@ func (rr *RunReport) SetModel(sys *ta.System, goal *mc.Goal) {
 		IntCells:  st.IntCells,
 		Channels:  st.Channels,
 	}
-	if h, err := tadsl.Hash(sys, goal); err == nil {
-		mi.SHA256 = h
+	if digest == "" {
+		digest, _ = tadsl.Hash(sys, goal)
 	}
+	mi.SHA256 = digest
 	rr.Model = mi
 }
 

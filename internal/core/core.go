@@ -45,12 +45,21 @@ func Synthesize(cfg plant.Config, opts mc.Options, so synth.Options) (*Result, e
 // ctx; canceling ctx aborts the schedule search (mc.AbortCanceled). The
 // zero synth.Options value gives the defaults. An unreachable goal (no
 // feasible schedule, or a search aborted by its limits) returns an error
-// wrapping the search statistics in the message.
+// wrapping the search statistics in the message. It is plant.Build
+// followed by SynthesizePlant.
 func SynthesizeContext(ctx context.Context, cfg plant.Config, opts mc.Options, so synth.Options) (*Result, error) {
 	p, err := plant.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return SynthesizePlant(ctx, p, opts, so)
+}
+
+// SynthesizePlant runs the pipeline on an already built plant model, for
+// callers that built it themselves (the synthesis service builds each
+// model once at admission and reuses it across retries). The plant is
+// only read, so one plant may serve any number of runs.
+func SynthesizePlant(ctx context.Context, p *plant.Plant, opts mc.Options, so synth.Options) (*Result, error) {
 	if opts.Search == mc.BestTime && opts.TimeClock == 0 {
 		// Every plant model carries a never-reset global clock, and the
 		// horizon "deadline per batch plus slack" bounds any schedule worth
@@ -58,11 +67,7 @@ func SynthesizeContext(ctx context.Context, cfg plant.Config, opts mc.Options, s
 		// internals leaking to every caller; explicit values win.
 		opts.TimeClock = p.GlobalClock
 		if opts.TimeHorizon == 0 {
-			params := cfg.Params
-			if params == (plant.Params{}) {
-				params = plant.DefaultParams()
-			}
-			opts.TimeHorizon = params.Deadline * int32(len(cfg.Qualities)+2)
+			opts.TimeHorizon = p.Cfg.TimeHorizon()
 		}
 	}
 	if mc.PriorityOf(opts.Observer) == nil {

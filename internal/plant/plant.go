@@ -167,6 +167,17 @@ func (c Config) ActiveGuides() GuideSet {
 	return c.Guides.GuideSet(c.PourLookahead)
 }
 
+// TimeHorizon is the instance's default horizon for minimum-time (BestTime)
+// search: the deadline per batch plus two deadlines of slack bounds any
+// schedule worth having. Zero Params mean the defaults, as in Build.
+func (c Config) TimeHorizon() int32 {
+	params := c.Params
+	if params == (Params{}) {
+		params = DefaultParams()
+	}
+	return params.Deadline * int32(len(c.Qualities)+2)
+}
+
 // CycleQualities builds an n-entry production list cycling through the
 // given qualities (default Q1, Q2, Q3 when none given).
 func CycleQualities(n int, qs ...Quality) []Quality {

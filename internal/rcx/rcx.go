@@ -9,6 +9,7 @@ package rcx
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -78,26 +79,49 @@ type Instr struct {
 
 // String renders the instruction in the paper's Figure 6 style.
 func (i Instr) String() string {
-	parts := make([]string, len(i.Args))
+	var sb strings.Builder
+	i.writeTo(&sb)
+	return sb.String()
+}
+
+// commentColumn is the width the opcode and operands are padded to before
+// an instruction's comment.
+const commentColumn = 34
+
+// writeTo appends the instruction's String form to sb without building
+// intermediate strings.
+func (i Instr) writeTo(sb *strings.Builder) {
+	start := sb.Len()
+	sb.WriteString(opNames[i.Op])
+	var num [20]byte
 	for k, a := range i.Args {
-		parts[k] = fmt.Sprintf("%d", a)
-	}
-	s := opNames[i.Op]
-	if len(parts) > 0 {
-		s += " " + strings.Join(parts, ", ")
+		if k == 0 {
+			sb.WriteByte(' ')
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.Write(strconv.AppendInt(num[:0], int64(a), 10))
 	}
 	if i.Comment != "" {
-		s = fmt.Sprintf("%-34s ' %s", s, i.Comment)
+		for n := sb.Len() - start; n < commentColumn; n++ {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(" ' ")
+		sb.WriteString(i.Comment)
 	}
-	return s
 }
 
 // Program is an executable instruction sequence.
 type Program []Instr
 
+// bytesPerLine sizes Program.String's buffer up front: synthesized plant
+// programs average about 31 bytes a line.
+const bytesPerLine = 32
+
 // String renders the whole program with nesting indentation.
 func (p Program) String() string {
 	var sb strings.Builder
+	sb.Grow(len(p) * bytesPerLine)
 	indent := 0
 	for _, in := range p {
 		if in.Op == OpEndWhile || in.Op == OpEndIf {
@@ -106,8 +130,10 @@ func (p Program) String() string {
 		if indent < 0 {
 			indent = 0
 		}
-		sb.WriteString(strings.Repeat("  ", indent))
-		sb.WriteString(in.String())
+		for k := 0; k < indent; k++ {
+			sb.WriteString("  ")
+		}
+		in.writeTo(&sb)
 		sb.WriteByte('\n')
 		if in.Op == OpWhile || in.Op == OpIf {
 			indent++

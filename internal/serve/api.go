@@ -14,7 +14,6 @@ import (
 	"guidedta/internal/rcx"
 	"guidedta/internal/schedule"
 	"guidedta/internal/synth"
-	"guidedta/internal/tadsl"
 )
 
 func (p *PlantRequest) resolve() (plant.Config, error) {
@@ -76,8 +75,9 @@ func (p *PlantRequest) resolveParams(cfg *plant.Config) error {
 }
 
 // resolve overlays the client's options onto the server defaults through
-// the mc.Options JSON contract and validates the result. Reports always
-// carry the full counters, so Profile is forced on.
+// the mc.Options JSON contract. Reports always carry the full counters, so
+// Profile is forced on. The caller validates the result once it has wired
+// in what the model supplies (a plant's BestTime clock).
 func (o OptionsRequest) resolve(defaults mc.Options) (mc.Options, error) {
 	opts := defaults
 	if len(o.raw) > 0 {
@@ -86,7 +86,7 @@ func (o OptionsRequest) resolve(defaults mc.Options) (mc.Options, error) {
 		}
 	}
 	opts.Profile = true
-	return opts, opts.Validate()
+	return opts, nil
 }
 
 // serveDefaults is the options baseline every request overlays: the
@@ -245,7 +245,3 @@ func (s *Server) Status() StatusJSON {
 	}
 	return st
 }
-
-// parseModel parses tadsl source (indirection so serve.go stays free of a
-// direct tadsl dependency beyond hashing).
-func parseModel(src string) (*tadsl.Model, error) { return tadsl.Parse(src) }

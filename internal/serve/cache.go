@@ -7,15 +7,8 @@ import (
 	"sync"
 
 	"guidedta/internal/mc"
-	"guidedta/internal/ta"
-	"guidedta/internal/tadsl"
+	"guidedta/internal/plant"
 )
-
-// hashModel is tadsl.Hash behind one name so the cache key and the run
-// report provably share the model identity.
-func hashModel(sys *ta.System, goal *mc.Goal) (string, error) {
-	return tadsl.Hash(sys, goal)
-}
 
 // cacheKey derives the content address of a query: the job kind ("model"
 // or "plant" — plant outcomes carry schedule and program artifacts that a
@@ -40,16 +33,47 @@ func cacheKey(kind, modelSHA string, opts mc.Options) string {
 	return hex.EncodeToString(h[:])
 }
 
+// fifoMap is a string-keyed map bounded to max entries, evicting
+// oldest-first. It is not safe for concurrent use; its owner locks.
+type fifoMap[V any] struct {
+	max   int
+	m     map[string]V
+	order []string
+}
+
+func newFIFOMap[V any](max int) fifoMap[V] {
+	return fifoMap[V]{max: max, m: make(map[string]V)}
+}
+
+func (f *fifoMap[V]) get(key string) (V, bool) {
+	v, ok := f.m[key]
+	return v, ok
+}
+
+// add inserts key unless it is already present (the first value stays).
+func (f *fifoMap[V]) add(key string, v V) {
+	if _, ok := f.m[key]; ok {
+		return
+	}
+	f.m[key] = v
+	f.order = append(f.order, key)
+	for len(f.order) > f.max {
+		delete(f.m, f.order[0])
+		f.order = f.order[1:]
+	}
+}
+
+func (f *fifoMap[V]) len() int { return len(f.m) }
+
 // cache is the content-addressed result store plus the singleflight table
 // of in-flight executions. Both live under one lock so the
 // hit/coalesce/miss decision and the completion handoff are atomic: a job
 // either sees the settled outcome or is attached to the execution that
-// will produce it — never neither.
+// will produce it — never neither. Settled outcomes are immutable and
+// re-shared verbatim.
 type cache struct {
 	mu       sync.Mutex
-	max      int
-	entries  map[string]*cacheEntry
-	order    []string
+	entries  fifoMap[*outcome]
 	inflight map[string]*execution
 
 	hits      int64
@@ -57,15 +81,9 @@ type cache struct {
 	coalesces int64
 }
 
-type cacheEntry struct {
-	out *outcome
-	// report is re-shared verbatim; outcomes are immutable once settled.
-}
-
 func newCache(max int) *cache {
 	return &cache{
-		max:      max,
-		entries:  make(map[string]*cacheEntry),
+		entries:  newFIFOMap[*outcome](max),
 		inflight: make(map[string]*execution),
 	}
 }
@@ -79,9 +97,9 @@ func newCache(max int) *cache {
 func (c *cache) admit(ex *execution, job *Job) (out *outcome, attached *execution, coalesced bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[ex.key]; ok {
+	if out, ok := c.entries.get(ex.key); ok {
 		c.hits++
-		return e.out, nil, false
+		return out, nil, false
 	}
 	if running, ok := c.inflight[ex.key]; ok && running.ctx.Err() == nil {
 		if running.attach(job) {
@@ -92,9 +110,9 @@ func (c *cache) admit(ex *execution, job *Job) (out *outcome, attached *executio
 		// runs outside this lock only for its job completions, so the
 		// entry must be here now — unless the outcome was uncacheable, in
 		// which case fall through to a fresh miss.
-		if e, ok := c.entries[ex.key]; ok {
+		if out, ok := c.entries.get(ex.key); ok {
 			c.hits++
-			return e.out, nil, false
+			return out, nil, false
 		}
 	}
 	c.misses++
@@ -111,15 +129,7 @@ func (c *cache) settle(ex *execution, out *outcome) []*Job {
 		delete(c.inflight, ex.key)
 	}
 	if out.cacheable() {
-		if _, exists := c.entries[ex.key]; !exists {
-			c.entries[ex.key] = &cacheEntry{out: out}
-			c.order = append(c.order, ex.key)
-			for len(c.entries) > c.max && len(c.order) > 0 {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, oldest)
-			}
-		}
+		c.entries.add(ex.key, out)
 	}
 	c.mu.Unlock()
 
@@ -178,8 +188,8 @@ func (c *cache) status() CacheStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CacheStatus{
-		Entries:   len(c.entries),
-		Max:       c.max,
+		Entries:   c.entries.len(),
+		Max:       c.entries.max,
 		InFlight:  len(c.inflight),
 		Hits:      c.hits,
 		Misses:    c.misses,
@@ -189,4 +199,63 @@ func (c *cache) status() CacheStatus {
 		st.HitRate = float64(c.hits) / float64(total)
 	}
 	return st
+}
+
+// resolution is a request's resolved model identity: everything admission
+// needs to compute the cache key.
+type resolution struct {
+	sha   string // tadsl.Hash of the model and its query
+	query string
+	// timeClock is the plant's GlobalClock, the BestTime TimeClock (0 for
+	// tadsl models, whose clients name the clock in the options).
+	timeClock int
+}
+
+// memo maps request identity to resolved identity, so a repeated request
+// computes its cache key without building, parsing or hashing its model.
+// A request's identity is the canonical JSON of its resolved plant
+// configuration, or the sha256 of its tadsl source. Only models that
+// resolved and hashed cleanly enter, and the memo is bounded like the
+// result cache (Config.CacheSize, oldest-first).
+type memo struct {
+	mu sync.Mutex
+	m  fifoMap[resolution]
+}
+
+func newMemo(max int) *memo { return &memo{m: newFIFOMap[resolution](max)} }
+
+func (m *memo) get(id string) (resolution, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m.get(id)
+}
+
+func (m *memo) add(id string, r resolution) {
+	m.mu.Lock()
+	m.m.add(id, r)
+	m.mu.Unlock()
+}
+
+func (m *memo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m.len()
+}
+
+// plantIdentity is the memo identity of a plant request: its resolved
+// configuration as canonical JSON ("" — never memoized — in the
+// impossible case that it does not encode).
+func plantIdentity(cfg plant.Config) string {
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	return "plant|" + string(data)
+}
+
+// modelIdentity is the memo identity of a tadsl request: the sha256 of
+// its source text.
+func modelIdentity(src string) string {
+	h := sha256.Sum256([]byte(src))
+	return "model|" + string(h[:])
 }

@@ -422,3 +422,39 @@ func TestCheckpointGCCount(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmColdRetryIgnoresOwnFinalSnapshot: a correct Fischer model
+// warm-started from a broken same-shape variant (same search order, so
+// the same warm family) ends negative, and the server reruns it cold. The
+// warm attempt left its own kept-final snapshot at the job's checkpoint
+// path; the cold rerun must start from scratch rather than try to resume
+// from that file (which the engine refuses), so the job settles done with
+// "not found" and its repeat is served from the cache.
+func TestWarmColdRetryIgnoresOwnFinalSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
+	// Two processes under DFS: the seeded broken state space holds no
+	// goal state the correct model can reach, so the warm attempt ends
+	// negative (rather than failing witness replay) and leaves its final
+	// snapshot behind.
+	correct := fischerSrc(2, 2)
+	broken := strings.ReplaceAll(correct, "> 2 &&", "> 1 &&")
+	code, seed := postJob(t, ts, submitBody(broken, `{"search": "dfs"}`), true)
+	if code != http.StatusOK || seed.State != JobDone || !seed.Report.Result.Found {
+		t.Fatalf("broken variant: status %d state %q (%s), want a found violation", code, seed.State, seed.Error)
+	}
+	code, jj := postJob(t, ts, submitBody(correct, `{"search": "dfs"}`), true)
+	if code != http.StatusOK || jj.State != JobDone {
+		t.Fatalf("correct model after warm fallback: status %d state %q (%s), want done", code, jj.State, jj.Error)
+	}
+	if jj.Report.Result.Found {
+		t.Fatal("correct Fischer reported a mutual-exclusion violation")
+	}
+	if jj.WarmStartedFrom != "" {
+		t.Errorf("cold rerun still claims a warm start from %q", jj.WarmStartedFrom)
+	}
+	code, again := postJob(t, ts, submitBody(correct, `{"search": "dfs"}`), false)
+	if code != http.StatusOK || again.Cache != CacheHit || again.Report.Result.Found {
+		t.Fatalf("repeat: status %d cache %q, want 200 hit with not-found", code, again.Cache)
+	}
+}

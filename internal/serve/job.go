@@ -12,6 +12,7 @@ import (
 	"guidedta/internal/mc"
 	"guidedta/internal/plant"
 	"guidedta/internal/ta"
+	"guidedta/internal/tadsl"
 )
 
 // JobState is the lifecycle of one submitted job.
@@ -119,17 +120,23 @@ func (j *Job) wait(ctx context.Context) {
 }
 
 // execution is one underlying model-checking run, shared by every job that
-// coalesced onto its cache key. It owns the built model, the resolved
-// options, a cancellation context refcounted by job interest, and the live
-// snapshot fan-out for event streams.
+// coalesced onto its cache key. It owns the model, the resolved options, a
+// cancellation context refcounted by job interest, and the live snapshot
+// fan-out for event streams.
 type execution struct {
 	key      string
 	modelSHA string
 	query    string
 
-	sys  *ta.System
-	goal mc.Goal
-	opts mc.Options
+	// src (tadsl text) or plantCfg describes the model; plant, sys and goal
+	// are its built form. Admission fills them when it had to resolve the
+	// model to learn its identity; when the identity came from the
+	// resolution memo, resolve fills them at dispatch instead.
+	src   string
+	plant *plant.Plant // nil for tadsl models
+	sys   *ta.System
+	goal  mc.Goal
+	opts  mc.Options
 
 	isPlant  bool
 	plantCfg plant.Config
@@ -169,6 +176,32 @@ type execution struct {
 	last     *streamEvent
 	subs     map[chan streamEvent]struct{}
 	settled  bool
+}
+
+// resolve builds the execution's plant, or parses its tadsl source,
+// unless that already happened. Its errors are admission errors: only
+// models that resolved cleanly enter the memo, so at dispatch it succeeds.
+func (ex *execution) resolve() error {
+	if ex.sys != nil {
+		return nil
+	}
+	if ex.src != "" {
+		model, err := tadsl.Parse(ex.src)
+		if err != nil {
+			return badRequestf("bad model: %v", err)
+		}
+		if !model.HasQuery {
+			return badRequestf("model has no `query exists ...` line")
+		}
+		ex.sys, ex.goal = model.Sys, model.Query
+		return nil
+	}
+	p, err := plant.Build(ex.plantCfg)
+	if err != nil {
+		return badRequestf("bad plant configuration: %v", err)
+	}
+	ex.plant, ex.sys, ex.goal = p, p.Sys, p.Goal
+	return nil
 }
 
 // streamEvent is one tagged SSE frame of an execution's event stream:

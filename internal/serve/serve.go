@@ -47,6 +47,7 @@ import (
 	"guidedta/internal/plant"
 	"guidedta/internal/snapshot"
 	"guidedta/internal/synth"
+	"guidedta/internal/tadsl"
 )
 
 // Config tunes the service. The zero value serves with sensible defaults;
@@ -78,7 +79,9 @@ type Config struct {
 	// and reports (default 250ms).
 	SnapshotEvery time.Duration
 	// CacheSize bounds the completed-result cache entries (default 256;
-	// eviction is oldest-first).
+	// eviction is oldest-first). The memo of resolved model identities
+	// that keys repeated requests without rebuilding their models has the
+	// same bound.
 	CacheSize int
 	// MaxJobs bounds retained job records (default 4096; finished jobs are
 	// evicted oldest-first beyond it).
@@ -162,6 +165,7 @@ type Server struct {
 	cfg   Config
 	queue *queue
 	cache *cache
+	memo  *memo
 	jobs  *registry
 	warm  *warmIndex // nil unless Config.WarmStart
 
@@ -199,6 +203,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newCache(cfg.CacheSize),
+		memo:    newMemo(cfg.CacheSize),
 		jobs:    newRegistry(cfg.MaxJobs),
 		workers: make([]workerState, cfg.Workers),
 	}
@@ -262,7 +267,9 @@ func (s *Server) settleCanceled(ex *execution) {
 	if !ex.isDiscover {
 		rep := cliutil.NewReport("mcserved")
 		run := rep.Run("canceled before start")
-		run.SetModel(ex.sys, &ex.goal)
+		if ex.resolve() == nil {
+			run.SetModel(ex.sys, &ex.goal, ex.modelSHA)
+		}
 		run.SetOptions(ex.opts)
 		run.SetResult(mc.Result{Abort: mc.AbortCanceled})
 		out.report = run
@@ -343,8 +350,9 @@ func (s *Server) place(ex *execution) (*Job, error) {
 }
 
 // buildExecution resolves a request into a runnable execution with its
-// content-addressed key. Model construction happens at admission time so
-// bad requests fail with a 400 before consuming a queue slot.
+// content-addressed key. The model's identity is resolved at admission so
+// bad requests fail with a 400 before consuming a queue slot; see
+// identify for when that needs the model itself.
 func (s *Server) buildExecution(req *SubmitRequest) (*execution, error) {
 	opts, err := req.Options.resolve(serveDefaults())
 	if err != nil {
@@ -362,56 +370,70 @@ func (s *Server) buildExecution(req *SubmitRequest) (*execution, error) {
 	ex.tenant = req.tenant
 	ex.resynth = req.Resynthesis
 
+	var id string
 	switch {
 	case req.Model != "" && req.Plant != nil:
 		return nil, badRequestf("give either a tadsl model or a plant configuration, not both")
 	case req.Model != "":
-		model, err := parseModel(req.Model)
-		if err != nil {
-			return nil, badRequestf("bad model: %v", err)
-		}
-		if !model.HasQuery {
-			return nil, badRequestf("model has no `query exists ...` line")
-		}
-		ex.sys, ex.goal = model.Sys, model.Query
-		ex.query = model.Query.String()
+		ex.src = req.Model
+		id = modelIdentity(req.Model)
 	case req.Plant != nil:
 		cfg, err := req.Plant.resolve()
 		if err != nil {
 			return nil, badRequestf("bad plant configuration: %v", err)
 		}
-		p, err := plant.Build(cfg)
-		if err != nil {
-			return nil, badRequestf("bad plant configuration: %v", err)
-		}
-		if opts.Search == mc.BestTime {
-			// Same wiring as cmd/plantsynth: best-first time order needs
-			// the plant's global clock and a horizon it stays observable to.
-			opts.TimeClock = p.GlobalClock
-			opts.TimeHorizon = p.Cfg.Params.Deadline * int32(len(cfg.Qualities)+2)
-		}
 		ex.plantCfg, ex.isPlant = cfg, true
-		ex.sys, ex.goal = p.Sys, p.Goal
-		ex.query = p.Goal.String()
+		id = plantIdentity(cfg)
 	default:
 		return nil, badRequestf("request needs a tadsl model or a plant configuration")
+	}
+	res, err := s.identify(ex, id)
+	if err != nil {
+		return nil, err
+	}
+	if ex.isPlant && opts.Search == mc.BestTime {
+		// Same wiring as cmd/plantsynth: best-first time order needs
+		// the plant's global clock and a horizon it stays observable to.
+		opts.TimeClock = res.timeClock
+		opts.TimeHorizon = ex.plantCfg.TimeHorizon()
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, badRequestf("bad options: %v", err)
 	}
 	ex.opts = opts
-
-	sha, err := hashModel(ex.sys, &ex.goal)
-	if err != nil {
-		return nil, badRequestf("model cannot be serialized: %v", err)
-	}
-	ex.modelSHA = sha
 	kind := "model"
 	if ex.isPlant {
 		kind = "plant"
 	}
-	ex.key = cacheKey(kind, sha, opts)
+	ex.key = cacheKey(kind, ex.modelSHA, opts)
 	return ex, nil
+}
+
+// identify sets ex's model identity (sha and query) and returns it. A
+// request found in the memo (id) is identified without building, parsing
+// or hashing its model, so cache hits and coalesces never resolve one.
+// Otherwise the model is resolved once — left on ex for dispatch — and
+// hashed, and the identity enters the memo.
+func (s *Server) identify(ex *execution, id string) (resolution, error) {
+	res, ok := s.memo.get(id)
+	if !ok {
+		if err := ex.resolve(); err != nil {
+			return res, err
+		}
+		sha, err := tadsl.Hash(ex.sys, &ex.goal)
+		if err != nil {
+			return res, badRequestf("model cannot be serialized: %v", err)
+		}
+		res = resolution{sha: sha, query: ex.goal.String()}
+		if ex.plant != nil {
+			res.timeClock = ex.plant.GlobalClock
+		}
+		if id != "" {
+			s.memo.add(id, res)
+		}
+	}
+	ex.modelSHA, ex.query = res.sha, res.query
+	return res, nil
 }
 
 // buildDiscover resolves a guide-discovery request. The content address
@@ -432,9 +454,8 @@ func (s *Server) buildDiscover(req *DiscoverRequest) (*execution, error) {
 		return nil, badRequestf("bad plant configuration: %v", err)
 	}
 	cfg.Guides, cfg.GuideSet = plant.NoGuides, nil
-	p, err := plant.Build(cfg)
-	if err != nil {
-		return nil, badRequestf("bad plant configuration: %v", err)
+	if err := opts.Validate(); err != nil {
+		return nil, badRequestf("bad options: %v", err)
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = s.cfg.SnapshotEvery
@@ -448,17 +469,12 @@ func (s *Server) buildDiscover(req *DiscoverRequest) (*execution, error) {
 	ex.budget = req.budget()
 	ex.seed = req.Seed
 	ex.opts = opts
-	ex.sys, ex.goal = p.Sys, p.Goal
-	ex.query = p.Goal.String()
-
-	sha, err := hashModel(ex.sys, &ex.goal)
-	if err != nil {
-		return nil, badRequestf("model cannot be serialized: %v", err)
+	if _, err := s.identify(ex, plantIdentity(cfg)); err != nil {
+		return nil, err
 	}
-	ex.modelSHA = sha
 	kind := fmt.Sprintf("discover|seed=%d|probes=%d|states=%d",
 		ex.seed, ex.budget.MaxProbes, ex.budget.ProbeStates)
-	ex.key = cacheKey(kind, sha, opts)
+	ex.key = cacheKey(kind, ex.modelSHA, opts)
 	return ex, nil
 }
 
@@ -489,13 +505,16 @@ func (s *Server) execute(ex *execution) *outcome {
 	if ex.isDiscover {
 		return s.executeDiscover(ex)
 	}
+	if err := ex.resolve(); err != nil {
+		return &outcome{err: err}
+	}
 	rep := cliutil.NewReport("mcserved")
 	name := "model"
 	if ex.isPlant {
 		name = fmt.Sprintf("plant %d batches, %s guides", len(ex.plantCfg.Qualities), ex.plantCfg.Guides)
 	}
 	run := rep.Run(name)
-	run.SetModel(ex.sys, &ex.goal)
+	run.SetModel(ex.sys, &ex.goal, ex.modelSHA)
 	run.SetOptions(ex.opts)
 
 	opts := ex.opts
@@ -594,6 +613,9 @@ func (s *Server) execute(ex *execution) *outcome {
 	goCold := func() {
 		s.logf("exec %s: warm start from %s not conclusive; rerunning cold", shortKey(ex.key), shortKey(warmFrom))
 		opts.WarmStart = mc.WarmStartOptions{}
+		// The warm attempt left its kept-final snapshot at ckptPath, which
+		// the engine refuses to resume from; the cold run starts fresh.
+		opts.Checkpoint.Resume = false
 		warmFrom = ""
 	}
 	// recordWarm publishes a cleanly completed search's final snapshot to
@@ -611,13 +633,13 @@ func (s *Server) execute(ex *execution) *outcome {
 
 	out := &outcome{report: run}
 	if ex.isPlant {
-		res, err := core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
+		res, err := core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		if err != nil && retryFresh(err) {
-			res, err = core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
+			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		}
 		if retryCold(err, engineRes) {
 			goCold()
-			res, err = core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
+			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		}
 		if err != nil {
 			// An unreachable goal or an aborted search surfaces as an

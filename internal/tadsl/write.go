@@ -21,14 +21,13 @@ func Write(w io.Writer, sys *ta.System, query *mc.Goal) error {
 	}
 
 	if names := sys.Table.Names(); len(names) > 0 {
+		env := sys.Table.NewEnv() // the initial values
 		for _, name := range names {
 			if v, ok := sys.Table.LookupVar(name); ok {
-				env := sys.Table.NewEnv()
 				fmt.Fprintf(w, "int %s %d\n", name, env[v.Off])
 				continue
 			}
 			base, size, _ := sys.Table.LookupArray(name)
-			env := sys.Table.NewEnv()
 			fmt.Fprintf(w, "int %s[%d]", name, size)
 			for i := 0; i < size; i++ {
 				fmt.Fprintf(w, " %d", env[base+i])
