@@ -1,8 +1,10 @@
 // Command mcbench tracks the model checker's memory/time trajectory: it
-// runs a fixed suite of models twice — once with the default full-DBM
-// passed store, once with the compact minimal-constraint store
-// (Options.Compact) — and writes the paired numbers to a JSON file
-// (BENCH_mc.json at the repo root, checked in as the perf baseline).
+// runs a fixed suite of models twice — once with the full-DBM passed
+// store (Options.Compact = false), once with the compact
+// minimal-constraint store that searches use by default — and writes the
+// paired numbers to a JSON file (BENCH_mc.json at the repo root, checked
+// in as the perf baseline). For historical reasons the full-DBM run is
+// the "default" field of each case.
 //
 // The suite covers a verification benchmark (Fischer's protocol) and the
 // paper's guided batch-plant scheduling instances, headlined by the
@@ -64,9 +66,9 @@ type runStats struct {
 	Evictions      int64   `json:"evictions"`
 }
 
-// benchCase is one suite entry with its default/compact pair and the
-// derived ratios (default divided by compact; higher is better for the
-// compact store).
+// benchCase is one suite entry with its full-DBM ("default") and compact
+// pair and the derived ratios (full-DBM divided by compact; higher is
+// better for the compact store).
 type benchCase struct {
 	Name         string   `json:"name"`
 	Search       string   `json:"search"`

@@ -100,7 +100,7 @@ func BenchmarkIncludesDBM(b *testing.B) {
 	}
 }
 
-func BenchmarkSubsetOfDBM(b *testing.B) {
+func BenchmarkSubsetOf(b *testing.B) {
 	// Mix of subset pairs (a zone against its own Up-closure, which always
 	// includes it) and unrelated pairs, matching the store's eviction scan
 	// where roughly half the surviving tests succeed.
@@ -109,19 +109,22 @@ func BenchmarkSubsetOfDBM(b *testing.B) {
 			zs := benchZones(n)
 			cs := make([]*Compact, benchPool)
 			ups := make([]*DBM, benchPool)
+			upMins := make([]*Compact, benchPool)
 			for i, z := range zs {
 				cs[i] = z.Minimal()
 				ups[i] = z.Clone()
 				ups[i].Up()
+				upMins[i] = ups[i].Minimal()
 			}
-			scratch := New(n)
+			dist := make([]Bound, n*n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%2 == 0 {
-					cs[i%benchPool].SubsetOfDBM(ups[i%benchPool], scratch)
+					cs[i%benchPool].SubsetOf(ups[i%benchPool], upMins[i%benchPool], dist)
 				} else {
-					cs[i%benchPool].SubsetOfDBM(zs[(i+1)%benchPool], scratch)
+					j := (i + 1) % benchPool
+					cs[i%benchPool].SubsetOf(zs[j], cs[j], dist)
 				}
 			}
 		})

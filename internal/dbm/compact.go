@@ -64,8 +64,8 @@ func (c *Compact) MemBytes() int {
 // constraint sourced at i (the implied base edges x_j - x_0 ≤ 0 all leave
 // the reference row). Hence zone(a) ⊆ zone(b) — every constraint of b's
 // minimal form matched by a finite closure entry of a — requires
-// RowMask(b) &^ RowMask(a) == 0. Stores use this to skip the expensive
-// eviction-direction inclusion test.
+// RowMask(b) &^ RowMask(a) == 0. Stores use this to skip the
+// eviction-direction inclusion test (SubsetOf).
 //
 // No analogous column condition exists: the base edges enter every column
 // from the reference row, so a clock can be a finite closure target without
@@ -268,14 +268,29 @@ func (c *Compact) InflateInto(d *DBM) bool {
 // derived entry of C is a shortest path over stored/base edges, each edge
 // dominating O's entry, and O is closed so the path sum dominates O's direct
 // entry — plus the base constraints xj ≥ 0, checked against row 0 of O.
+// A store testing one zone against many compact zones checks the row-0 half
+// (ClocksNonNegative) once and scans with IncludesNonNegative.
 func (c *Compact) IncludesDBM(o *DBM) bool {
+	return c.IncludesNonNegative(o) && o.ClocksNonNegative()
+}
+
+// ClocksNonNegative reports whether row 0 of d is within the base
+// constraints xj ≥ 0, the half of IncludesDBM that depends on d alone.
+func (d *DBM) ClocksNonNegative() bool {
+	for _, b := range d.m[1:d.n] {
+		if b > LEZero {
+			return false // d allows xj < 0, which the base zone excludes
+		}
+	}
+	return true
+}
+
+// IncludesNonNegative is IncludesDBM for an o already known to satisfy
+// ClocksNonNegative: it checks only the stored constraints, in
+// O(constraints).
+func (c *Compact) IncludesNonNegative(o *DBM) bool {
 	if c.n != o.n {
 		panic("dbm: dimension mismatch in IncludesDBM")
-	}
-	for j := 1; j < c.n; j++ {
-		if o.m[j] > LEZero {
-			return false // o allows xj < 0, which the base zone excludes
-		}
 	}
 	for _, cc := range c.cs {
 		if cc.B < o.m[int(cc.I)*c.n+int(cc.J)] {
@@ -285,121 +300,87 @@ func (c *Compact) IncludesDBM(o *DBM) bool {
 	return true
 }
 
-// SubsetOfDBM reports whether the compact zone is a subset of (or equal to)
-// the canonical DBM d — the eviction direction of the passed-list
-// subsumption test. Unlike IncludesDBM this direction cannot be decided
-// from the stored constraints alone (the compact form leaves unbounded
-// differences implicit, and d may bound them). After an O(constraints)
-// necessary check — exact in the failing direction because stored minimal
-// constraints equal the closed entries at their positions — the test
-// reconstructs only the PIVOT rows of the zone's closure in the
-// caller-provided scratch DBM: rows whose clock sources no stored
-// constraint have no finite out-edges in the constraint graph, so their
-// closed entries are all Infinity and the subset condition there reduces
-// to requiring the same of d. The scratch DBM's non-pivot rows are left
-// untouched (garbage); it must never be read as a whole zone.
-func (c *Compact) SubsetOfDBM(d *DBM, scratch *DBM) bool {
+// SubsetOf reports whether the compact zone is a subset of (or equal to)
+// the zone of the canonical DBM d, whose minimal form is dMin — the
+// eviction direction of the passed-list subsumption test. dist is scratch
+// space of at least n² bounds for dimension n; SubsetOf overwrites it and
+// allocates nothing.
+//
+// zone(d) is the closure of the base constraints xj ≥ 0 and dMin's
+// constraints, and every zone satisfies the base constraints, so c ⊆ d iff
+// c satisfies every constraint (i, j, b) of dMin: iff the shortest path
+// i ⇝ j in c's constraint graph — the base edges 0→j of weight ≤ 0 plus c's
+// stored constraints — is at most b. Each such path comes from one
+// single-source relaxation over those k + n edges (shortestFrom), kept in
+// row i of dist for the other constraints of dMin with the same source, so
+// c's closure is never built. Two cheap exits run first. Stored minimal
+// constraints equal the closure entries at their positions, so one looser
+// than d's entry there refutes the inclusion in O(k). And the empty-zone
+// sentinel is a subset of everything.
+func (c *Compact) SubsetOf(d *DBM, dMin *Compact, dist []Bound) bool {
 	n := c.n
-	if n != d.n {
-		panic("dbm: dimension mismatch in SubsetOfDBM")
+	if n != d.n || n != dMin.n {
+		panic("dbm: dimension mismatch in SubsetOf")
 	}
 	for _, cc := range c.cs {
 		if cc.B > d.m[int(cc.I)*n+int(cc.J)] {
 			return false
 		}
 	}
-	if n > 64 || partialDisabled.Load() {
-		if !c.InflateInto(scratch) {
-			return true // empty zone is a subset of everything
-		}
-		return d.Includes(scratch)
+	if c.isEmpty() {
+		return true
 	}
-	mask := uint64(1)
-	for _, cc := range c.cs {
-		mask |= 1 << uint(cc.I)
+	dist = dist[:n*n]
+	for i := 0; i < n; i++ {
+		dist[i*n+i] = Infinity // row i not computed yet
 	}
-	// Non-pivot rows close to all-Infinity: subset requires d unbounded
-	// there too. The pivot list collected alongside drives the remaining
-	// loops directly, instead of re-testing the mask at every level.
-	var pbuf [64]int32
-	plist := pbuf[:0]
-	plist = append(plist, 0)
-	for i := 1; i < n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			plist = append(plist, int32(i))
-			continue
+	for _, cc := range dMin.cs {
+		i := int(cc.I)
+		row := dist[i*n : i*n+n]
+		if row[i] == Infinity {
+			c.shortestFrom(i, row)
 		}
-		row := d.m[i*n : i*n+n]
-		for j, b := range row {
-			if j != i && b != Infinity {
-				return false
-			}
-		}
-	}
-	// Build the pivot rows of the closure in scratch (base zone + stored
-	// constraints, then Floyd–Warshall restricted to pivot intermediates —
-	// exact as in closePivots; every read and write stays within pivot rows).
-	for _, i32 := range plist {
-		i := int(i32)
-		row := scratch.m[i*n : i*n+n]
-		if i == 0 {
-			for j := range row {
-				row[j] = LEZero
-			}
-			continue
-		}
-		for j := range row {
-			row[j] = Infinity
-		}
-		row[i] = LEZero
-	}
-	for _, cc := range c.cs {
-		at := int(cc.I)*n + int(cc.J)
-		if cc.B < scratch.m[at] {
-			scratch.m[at] = cc.B
-		}
-	}
-	if scratch.m[0] < LEZero {
-		return true // the empty-zone sentinel: subset of everything
-	}
-	for _, k32 := range plist {
-		k := int(k32)
-		rowK := scratch.m[k*n : k*n+n]
-		for _, i32 := range plist {
-			i := int(i32)
-			if i == k {
-				continue
-			}
-			sik := scratch.m[i*n+k]
-			if sik == Infinity {
-				continue
-			}
-			rowI := scratch.m[i*n : i*n+n]
-			for j, bkj := range rowK {
-				if bkj == Infinity {
-					continue
-				}
-				if s := Add(sik, bkj); s < rowI[j] {
-					rowI[j] = s
-				}
-			}
-		}
-		for _, i32 := range plist {
-			if scratch.m[int(i32)*(n+1)] < LEZero {
-				return true // zone empties: subset of everything
-			}
-		}
-	}
-	for _, i32 := range plist {
-		i := int(i32)
-		row, drow := scratch.m[i*n:i*n+n], d.m[i*n:i*n+n]
-		for j, b := range row {
-			if drow[j] < b {
-				return false
-			}
+		if row[cc.J] > cc.B {
+			return false
 		}
 	}
 	return true
+}
+
+// isEmpty reports whether c is the empty-zone sentinel x0 - x0 < 0.
+func (c *Compact) isEmpty() bool {
+	return len(c.cs) == 1 && c.cs[0] == Constraint{0, 0, LTZero}
+}
+
+// shortestFrom fills row with the shortest-path bounds from clock s in the
+// constraint graph of c: the base edges 0→j of weight ≤ 0 plus the stored
+// constraints. It is Bellman–Ford over those k + n edges. A non-empty
+// minimal form has no negative cycle, so every shortest path has at most
+// n-1 edges and n rounds settle it; row[s] ends at ≤ 0, never Infinity.
+func (c *Compact) shortestFrom(s int, row []Bound) {
+	for j := range row {
+		row[j] = Infinity
+	}
+	row[s] = LEZero
+	base := Infinity // the value of row[0] last pushed along the base edges
+	for round, changed := 0, true; changed && round < c.n; round++ {
+		changed = false
+		if row[0] < base {
+			base = row[0] // Add(base, LEZero) == base
+			for j := 1; j < len(row); j++ {
+				if base < row[j] {
+					row[j] = base
+					changed = true
+				}
+			}
+		}
+		for _, cc := range c.cs {
+			if v := Add(row[cc.I], cc.B); v < row[cc.J] {
+				row[cc.J] = v
+				changed = true
+			}
+		}
+	}
 }
 
 // Equal reports whether two compact forms are identical. Because the

@@ -77,6 +77,148 @@ func TestIncludesDBMAgreesWithIncludes(t *testing.T) {
 	}
 }
 
+// Property: the hoisted rejection scan — ClocksNonNegative once, then
+// IncludesNonNegative per stored zone — decides "some stored zone includes
+// o" exactly as IncludesDBM per stored zone and Includes on the inflated
+// zones do, including for matrices whose row 0 admits negative clocks
+// (which no canonical zone has, so they are built by hand here).
+func TestHoistedRejectionScanAgreesWithIncludesDBM(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	hits, negRows := 0, 0
+	for trial := 0; trial < 1000; trial++ {
+		n := 2 + rng.Intn(5)
+		o := randomZone(rng, n)
+		stored := make([]*Compact, 1+rng.Intn(4))
+		for k := range stored {
+			z := randomZone(rng, n)
+			if rng.Intn(2) == 0 {
+				z = o.Clone()
+				z.Up()
+			}
+			stored[k] = z.Minimal()
+		}
+		if trial%4 == 0 {
+			m := o.AppendBounds(nil)
+			m[1+rng.Intn(n-1)] = LE(int32(1 + rng.Intn(3)))
+			o, _ = FromBounds(n, m)
+			negRows++
+		}
+		want, perEntry := false, false
+		for _, c := range stored {
+			want = want || c.Inflate().Includes(o)
+			perEntry = perEntry || c.IncludesDBM(o)
+		}
+		got := false
+		if o.ClocksNonNegative() {
+			for _, c := range stored {
+				got = got || c.IncludesNonNegative(o)
+			}
+		}
+		if got != want || perEntry != want {
+			t.Fatalf("trial %d: hoisted scan=%v, IncludesDBM scan=%v, Includes=%v\no: %s",
+				trial, got, perEntry, want, o)
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits == 0 || negRows == 0 {
+		t.Fatalf("vacuous: %d including pairs, %d negative rows", hits, negRows)
+	}
+}
+
+// subsetRef is the eviction test by brute force: inflate the stored zone
+// and compare full canonical matrices, with the empty zone a subset of
+// everything and nothing non-empty a subset of it.
+func subsetRef(cOld *Compact, newZ *DBM) bool {
+	o := cOld.Inflate()
+	switch {
+	case o.IsEmpty():
+		return true
+	case newZ.IsEmpty():
+		return false
+	}
+	return newZ.Includes(o)
+}
+
+// sparseZone constrains a handful of the n clocks of the universal zone,
+// leaving the rest unbounded: the shape of a large plant zone.
+func sparseZone(rng *rand.Rand, n int) *DBM {
+	d := New(n)
+	for k := 0; k < 4+rng.Intn(6); k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		b := LE(int32(rng.Intn(20) - 5))
+		if j == 0 {
+			b = LE(int32(rng.Intn(20)))
+		} else if i == 0 {
+			b = LE(int32(-rng.Intn(6)))
+		}
+		prev := d.Clone()
+		if !d.Constrain(i, j, b) {
+			d = prev // keep non-empty
+		}
+	}
+	return d
+}
+
+// emptyZone returns an empty zone of dimension n, whose minimal form is the
+// empty-zone sentinel.
+func emptyZone(n int) *DBM {
+	d := Zero(n)
+	d.Constrain(0, 1, LTZero) // x1 > 0 contradicts x1 == 0
+	return d
+}
+
+// Property: the eviction test SubsetOf agrees with Inflate + Includes over
+// random pairs at n = 2..8, at the sparse n = 66 that once needed a
+// full-inflate fallback, and with the empty-zone sentinel on either side.
+func TestSubsetOfAgreesWithInflateIncludes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var dist []Bound
+	subsets, emptyOld, emptyNew := 0, 0, 0
+	check := func(trial int, oldZ, newZ *DBM) {
+		n := oldZ.Dim()
+		if len(dist) < n*n {
+			dist = make([]Bound, n*n)
+		}
+		cOld, cNew := oldZ.Minimal(), newZ.Minimal()
+		want := subsetRef(cOld, newZ)
+		if got := cOld.SubsetOf(newZ, cNew, dist); got != want {
+			t.Fatalf("trial %d (n=%d): SubsetOf=%v, Inflate+Includes=%v\nold: %s\nnew: %s",
+				trial, n, got, want, oldZ, newZ)
+		}
+		if want {
+			subsets++
+		}
+	}
+	for trial := 0; trial < 4000; trial++ {
+		n := 2 + rng.Intn(7)
+		oldZ, newZ := loosenedPair(rng, n, randomZone)
+		switch rng.Intn(20) {
+		case 0:
+			oldZ = emptyZone(n)
+			emptyOld++
+		case 1:
+			newZ = emptyZone(n)
+			emptyNew++
+		}
+		check(trial, oldZ, newZ)
+	}
+	for trial := 0; trial < 300; trial++ {
+		oldZ, newZ := loosenedPair(rng, 66, sparseZone)
+		check(trial, oldZ, newZ)
+	}
+	check(-1, emptyZone(66), sparseZone(rng, 66))
+	check(-2, sparseZone(rng, 66), emptyZone(66))
+	check(-3, emptyZone(4), emptyZone(4))
+	if subsets < 1000 || emptyOld == 0 || emptyNew == 0 {
+		t.Fatalf("vacuous: %d subsets, %d empty old, %d empty new", subsets, emptyOld, emptyNew)
+	}
+}
+
 // Property: minimal forms are a unique canonical representation — Compact
 // Equal coincides with DBM Equal.
 func TestCompactEqualIsZoneEqual(t *testing.T) {

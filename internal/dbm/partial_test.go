@@ -155,40 +155,40 @@ func TestReducerMatchesMinimal(t *testing.T) {
 // edges; this test caught exactly that bug when run over enough pairs.)
 func TestRowMaskGateIsNecessary(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	scratch := New(6)
+	dist := make([]Bound, 6*6)
 	for trial := 0; trial < 4000; trial++ {
-		n := 2 + rng.Intn(5)
-		if scratch.Dim() != n {
-			scratch = New(n)
-		}
-		oldZ := randomZone(rng, n)
-		var newZ *DBM
-		if rng.Intn(2) == 0 {
-			newZ = randomZone(rng, n) // mostly-disjoint pair
-		} else {
-			// Loosen old into new so real subsets are frequent — the gate's
-			// soundness only matters on (near-)subset pairs.
-			newZ = oldZ.Clone()
-			switch rng.Intn(3) {
-			case 0:
-				newZ.Up()
-			case 1:
-				newZ.FreeClock(1 + rng.Intn(n-1))
-			case 2:
-				maxB := make([]int32, n)
-				for i := 1; i < n; i++ {
-					maxB[i] = int32(rng.Intn(6)) - 1
-				}
-				newZ.ExtrapolateMaxBounds(maxB)
-			}
-		}
+		oldZ, newZ := loosenedPair(rng, 2+rng.Intn(5), randomZone)
 		cOld, cNew := oldZ.Minimal(), newZ.Minimal()
 		gateAllows := cNew.RowMask()&^cOld.RowMask() == 0
-		subset := cOld.SubsetOfDBM(newZ, scratch)
+		subset := cOld.SubsetOf(newZ, cNew, dist)
 		if subset && !gateAllows {
 			t.Fatalf("trial %d: gate rejected a real subset\nold: %s\nnew: %s", trial, oldZ, newZ)
 		}
 	}
+}
+
+// loosenedPair draws a zone and either an unrelated zone (a mostly-disjoint
+// pair) or a loosening of the first, so real subsets are frequent — the
+// eviction test's behavior matters most on (near-)subset pairs.
+func loosenedPair(rng *rand.Rand, n int, gen func(*rand.Rand, int) *DBM) (oldZ, newZ *DBM) {
+	oldZ = gen(rng, n)
+	if rng.Intn(2) == 0 {
+		return oldZ, gen(rng, n)
+	}
+	newZ = oldZ.Clone()
+	switch rng.Intn(3) {
+	case 0:
+		newZ.Up()
+	case 1:
+		newZ.FreeClock(1 + rng.Intn(n-1))
+	case 2:
+		maxB := make([]int32, n)
+		for i := 1; i < n; i++ {
+			maxB[i] = int32(rng.Intn(6)) - 1
+		}
+		newZ.ExtrapolateMaxBounds(maxB)
+	}
+	return oldZ, newZ
 }
 
 // Arena-produced DBMs must behave exactly like heap-allocated ones once

@@ -27,6 +27,9 @@ func compactModels() []struct {
 	}{
 		{"fischer-safe", func(tb testing.TB) (*ta.System, mc.Goal) { return fischerModel(tb, 3, true) }},
 		{"fischer-broken", func(tb testing.TB) (*ta.System, mc.Goal) { return fischerModel(tb, 3, false) }},
+		// Eviction-heavy: exhaustive Fischer-5 stores 3,631 states under
+		// BFS and evicts 2,418, where Fischer-3 evicts almost none.
+		{"fischer5-safe", func(tb testing.TB) (*ta.System, mc.Goal) { return fischerModel(tb, 5, true) }},
 		{"traingate-safe", func(tb testing.TB) (*ta.System, mc.Goal) { return traingateModel(tb, 3) }},
 		{"traingate-unsafe", func(tb testing.TB) (*ta.System, mc.Goal) { return traingateModel(tb, 7) }},
 		{"jobshop", jobshopModel},

@@ -188,10 +188,9 @@ func sortedKeys[B any](m map[string]B) []string {
 // on the frontier and rebuild it — exactly, by the round-trip property —
 // when the node is popped for expansion. At any instant only the states
 // actually being expanded hold O(n²) matrices. Subsumption decisions are
-// exactly those of mapStore — IncludesDBM is an exact inclusion test and
-// the eviction direction falls back to inflating into a reused scratch
-// DBM — so a search over a compactStore visits states in the identical
-// order and finds the identical trace.
+// exactly those of mapStore — IncludesDBM and SubsetOf are exact inclusion
+// tests in both directions — so a search over a compactStore visits states
+// in the identical order and finds the identical trace.
 type compactStore struct {
 	byKey       map[string]*compactBucket
 	inclusion   bool
@@ -199,8 +198,8 @@ type compactStore struct {
 	bytes       int64
 	evictions   int64
 	constraints int64
-	scratch     *dbm.DBM    // eviction-direction inflate buffer, lazily sized
 	red         dbm.Reducer // scratch-backed Minimal, one exact-size alloc per insert
+	dist        []dbm.Bound // SubsetOf shortest-path scratch, lazily sized
 }
 
 // compactBucket is the per-discrete-state antichain of compact zones.
@@ -228,14 +227,15 @@ const compactEntryOverhead = 24
 
 // add mirrors mapStore.add (same two-pass antichain semantics, hence
 // identical search behavior), operating on compact zones. The hot rejection
-// path costs O(constraints) per stored entry and nothing else: the Minimal()
-// reduction and the eviction scan run only for states that survive it (by
-// the antichain argument on mapStore.add, rejected candidates never evict).
-// In the eviction pass, RowMask inclusion is a necessary condition for
-// old ⊆ new — every constraint of Minimal(new) must be matched by a finite
-// closure entry of old, which needs old to store an edge out of its source
-// row (see Compact.RowMask for why no column analogue exists) — so the
-// expensive inclusion test runs only when the masks allow a subset.
+// path checks the newcomer's row 0 once and then costs O(constraints) per
+// stored entry: the Minimal() reduction and the eviction scan run only for
+// states that survive it (by the antichain argument on mapStore.add,
+// rejected candidates never evict). The eviction pass tests old ⊆ new
+// against the constraints of Minimal(new), one shortest path in old's
+// constraint graph each (Compact.SubsetOf). RowMask inclusion is a necessary
+// condition for it — each of those paths leaves its source row through a
+// stored edge of old (see Compact.RowMask for why no column analogue
+// exists) — so SubsetOf runs only when the masks allow a subset.
 func (p *compactStore) add(key []byte, n *node) bool {
 	b := p.byKey[string(key)]
 	if b == nil {
@@ -244,16 +244,21 @@ func (p *compactStore) add(key []byte, n *node) bool {
 		p.bytes += int64(len(key)) + bucketOverhead
 	}
 	if p.inclusion {
-		for _, old := range b.entries {
-			if old.z.IncludesDBM(n.zone) {
-				return false
+		if n.zone.ClocksNonNegative() {
+			for _, old := range b.entries {
+				if old.z.IncludesNonNegative(n.zone) {
+					return false
+				}
 			}
 		}
 		cn := p.red.Minimal(n.zone)
 		newRows := cn.RowMask()
+		if dim := n.zone.Dim(); len(p.dist) < dim*dim {
+			p.dist = make([]dbm.Bound, dim*dim)
+		}
 		kept := b.entries[:0]
 		for _, old := range b.entries {
-			if newRows&^old.rows == 0 && p.subsumesOld(n, old.z) {
+			if newRows&^old.rows == 0 && old.z.SubsetOf(n.zone, cn, p.dist) {
 				// All reads of the evicted node precede the subsumed flag:
 				// the atomic store is the release point after which the
 				// popping worker may recycle the node and its zone.
@@ -295,16 +300,6 @@ func (p *compactStore) insert(b *compactBucket, z *dbm.Compact, n *node) {
 	p.count++
 	p.bytes += entryBytes(e)
 	p.constraints += int64(z.Len())
-}
-
-// subsumesOld decides whether the new node's zone includes the stored
-// compact zone, inflating into the reused scratch DBM only when the cheap
-// necessary test passes.
-func (p *compactStore) subsumesOld(n *node, old *dbm.Compact) bool {
-	if p.scratch == nil || p.scratch.Dim() != n.zone.Dim() {
-		p.scratch = dbm.New(n.zone.Dim())
-	}
-	return old.SubsetOfDBM(n.zone, p.scratch)
 }
 
 func (p *compactStore) stats() storeStats {
