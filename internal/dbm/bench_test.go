@@ -15,6 +15,13 @@ import (
 // Each benchmark pre-generates a pool of random canonical zones and cycles
 // through it, so the measured loop sees realistic, varied inputs rather
 // than one cache-resident matrix.
+//
+// Those random zones are dense, which hides what the successor-path
+// kernels (ConstrainUppers, UpUnder, ExtrapolateLU, Minimal) gain from
+// skipping ∞ entries. Their benchmarks also run a "sparse-n=20" pool
+// shaped like the 5-batch plant's zones (n = 20, about 17% of entries
+// finite; see plantShapedZone), once through the kernel and once through
+// its test reference ("-ref"), the code the kernel replaced.
 
 var benchDims = []int{6, 24}
 
@@ -29,6 +36,43 @@ func benchZones(n int) []*DBM {
 	return zs
 }
 
+// benchSparseN is the dimension of the plant-shaped pool.
+const benchSparseN = 20
+
+// sparseBench is one input of the plant-shaped pool: the freed zone
+// extrapolation sees, its LU bounds, the extrapolated zone, an invariant
+// of one to five upper bounds that leaves it non-empty, and the zone after
+// that invariant (the input of the delay).
+type sparseBench struct {
+	freed, zone, post *DBM
+	lower, upper      []int32
+	ups               []Constraint
+}
+
+func benchSparse() []sparseBench {
+	rng := rand.New(rand.NewSource(2020))
+	pool := make([]sparseBench, benchPool)
+	for i := range pool {
+		p := &pool[i]
+		p.freed = freedZone(rng, benchSparseN)
+		p.lower, p.upper = randomLU(rng, benchSparseN)
+		p.zone = p.freed.Clone()
+		extrapolateLURef(p.zone, p.lower, p.upper)
+		for {
+			_, ups := randomInvariant(rng, p.zone, false)
+			if len(ups) == 0 {
+				continue
+			}
+			p.post = p.zone.Clone()
+			if constrainEachRef(p.post, ups) {
+				p.ups = ups
+				break
+			}
+		}
+	}
+	return pool
+}
+
 func BenchmarkMinimal(b *testing.B) {
 	for _, n := range benchDims {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -38,6 +82,67 @@ func BenchmarkMinimal(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.Minimal(zs[i%benchPool])
+			}
+		})
+	}
+	pool := benchSparse()
+	b.Run("sparse-n=20", func(b *testing.B) {
+		var r Reducer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Minimal(pool[i%benchPool].zone)
+		}
+	})
+	b.Run("sparse-n=20-ref", func(b *testing.B) {
+		var r Reducer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			minimalRef(&r, pool[i%benchPool].zone)
+		}
+	})
+}
+
+func BenchmarkConstrainUppers(b *testing.B) {
+	pool := benchSparse()
+	d := New(benchSparseN)
+	for _, ref := range []bool{false, true} {
+		name := "sparse-n=20"
+		if ref {
+			name += "-ref"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := &pool[i%benchPool]
+				d.CopyFrom(p.zone)
+				if ref {
+					constrainEachRef(d, p.ups)
+				} else {
+					d.ConstrainUppers(p.ups)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkUpUnder(b *testing.B) {
+	pool := benchSparse()
+	d := New(benchSparseN)
+	for _, ref := range []bool{false, true} {
+		name := "sparse-n=20"
+		if ref {
+			name += "-ref"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := &pool[i%benchPool]
+				d.CopyFrom(p.post)
+				if ref {
+					upUnderRef(d, p.ups)
+				} else {
+					d.UpUnder(p.ups)
+				}
 			}
 		})
 	}
@@ -192,6 +297,26 @@ func BenchmarkExtrapolateLU(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d.CopyFrom(zs[i%benchPool])
 				d.ExtrapolateLU(lower, upper)
+			}
+		})
+	}
+	pool := benchSparse()
+	d := New(benchSparseN)
+	for _, ref := range []bool{false, true} {
+		name := "sparse-n=20"
+		if ref {
+			name += "-ref"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := &pool[i%benchPool]
+				d.CopyFrom(p.freed)
+				if ref {
+					extrapolateLURef(d, p.lower, p.upper)
+				} else {
+					d.ExtrapolateLU(p.lower, p.upper)
+				}
 			}
 		})
 	}

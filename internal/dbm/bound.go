@@ -56,6 +56,11 @@ func Add(a, b Bound) Bound {
 	if a == Infinity || b == Infinity {
 		return Infinity
 	}
+	return addFinite(a, b)
+}
+
+// addFinite is Add for two bounds known to be finite.
+func addFinite(a, b Bound) Bound {
 	// Constants add; the result is weak only if both operands are weak.
 	return Bound(int32(a&^1)+int32(b&^1)) | (a & b & 1)
 }

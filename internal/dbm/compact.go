@@ -27,6 +27,8 @@ package dbm
 // canonical zone is ≤ LEZero (clocks are never negative), which every
 // operation in this package preserves.
 
+import "math/bits"
+
 // Constraint is one difference constraint xi - xj ≺ c of a compact zone.
 // I and J are clock indices (J may be 0, the reference clock).
 type Constraint struct {
@@ -100,12 +102,27 @@ type Reducer struct {
 	rep     []int
 	members []int
 	buf     []Constraint
+	// Bitsets of w = ⌈n/64⌉ words each: rowBits[i*w:] holds the finite
+	// off-diagonal columns of representative row i, colBits[j*w:] the
+	// representative rows k ≠ j with a finite entry (k,j), and repBits the
+	// class representatives.
+	rowBits, colBits, repBits []uint64
 }
 
 // Minimal is DBM.Minimal computed through the reducer's scratch space. The
 // returned Compact holds a freshly allocated, exactly sized constraint
 // slice and shares nothing with the reducer, and is bit-identical (same
 // constraints, same order) to what DBM.Minimal returns.
+//
+// Both phases only ever test finite entries of representative rows: an
+// equality needs both entries of the pair finite, a kept constraint is
+// finite, and a witness path i→k→j needs both hops finite. So each
+// representative row is scanned once into a bitset of its finite columns,
+// the columns get the transposed sets, and the phases visit only set bits:
+// on the sparse zones of large models, where most of the n² entries are
+// ∞, the witnesses for (i,j) are the few k in row i's set and column j's
+// set at once, and rows of clocks equal to a smaller one are never
+// scanned.
 func (r *Reducer) Minimal(d *DBM) *Compact {
 	n := d.n
 	if d.IsEmpty() {
@@ -115,15 +132,26 @@ func (r *Reducer) Minimal(d *DBM) *Compact {
 	// (xj >= 0) and skipped at every emission site below.
 	buf := r.buf[:0]
 
-	// Phase 1: zero-cycle equivalence classes, pinned by one cycle each.
-	// rep[i] is the smallest clock index equal to clock i.
+	w := (n + 63) / 64
 	if cap(r.rep) < n {
 		r.rep = make([]int, n)
 		r.members = make([]int, 0, n)
+		r.rowBits, r.colBits = make([]uint64, n*w), make([]uint64, n*w)
+		r.repBits = make([]uint64, w)
 	}
 	rep := r.rep[:n]
+	rowBits, colBits, repBits := r.rowBits[:n*w], r.colBits[:n*w], r.repBits[:w]
+
+	// Phase 1: zero-cycle equivalence classes, pinned by one cycle each.
+	// rep[i] is the smallest clock index equal to clock i. Only a
+	// representative's row is ever read again, so each row is scanned for
+	// its finite entries when its clock turns out to be a representative,
+	// and the clocks equal to it are among those entries.
 	for i := range rep {
 		rep[i] = -1
+	}
+	for i := range repBits {
+		repBits[i] = 0
 	}
 	members := r.members
 	for i := 0; i < n; i++ {
@@ -131,12 +159,28 @@ func (r *Reducer) Minimal(d *DBM) *Compact {
 			continue
 		}
 		rep[i] = i
+		repBits[i/64] |= 1 << (i % 64)
+		row := d.m[i*n : i*n+n]
+		for wi := 0; wi < w; wi++ {
+			var set uint64
+			for t, b := range row[wi*64 : min(n, wi*64+64)] {
+				x := uint64(uint32(b ^ Infinity)) // 0 iff b is ∞
+				set |= (x | -x) >> 63 << (uint(t) & 63)
+			}
+			if wi == i/64 {
+				set &^= 1 << (i % 64) // the diagonal
+			}
+			rowBits[i*w+wi] = set
+		}
 		members = members[:0]
 		members = append(members, i)
-		for j := i + 1; j < n; j++ {
-			if rep[j] == -1 && Add(d.m[i*n+j], d.m[j*n+i]) == LEZero {
-				rep[j] = i
-				members = append(members, j)
+		for wi := i / 64; wi < w; wi++ {
+			for c := rowBits[i*w+wi]; c != 0; c &= c - 1 {
+				j := wi*64 + bits.TrailingZeros64(c)
+				if j > i && rep[j] == -1 && Add(row[j], d.m[j*n+i]) == LEZero {
+					rep[j] = i
+					members = append(members, j)
+				}
 			}
 		}
 		if len(members) > 1 {
@@ -152,43 +196,56 @@ func (r *Reducer) Minimal(d *DBM) *Compact {
 			}
 		}
 	}
-
-	// Phase 2: redundancy elimination on the representative quotient graph.
-	// Iterating a collected representative list (ascending, so the emission
-	// order matches the straight n³ scan exactly) keeps the triple loop at
-	// r³ for r classes instead of n³ with skip branches.
-	reps := members[:0]
-	for i := 0; i < n; i++ {
-		if rep[i] == i {
-			reps = append(reps, i)
+	// colBits[j] gets the representatives k with a finite entry (k,j).
+	for i := range colBits {
+		colBits[i] = 0
+	}
+	for k := 0; k < n; k++ {
+		if rep[k] != k {
+			continue
+		}
+		for wj := 0; wj < w; wj++ {
+			for c := rowBits[k*w+wj]; c != 0; c &= c - 1 {
+				j := wj*64 + bits.TrailingZeros64(c)
+				colBits[j*w+k/64] |= 1 << (k % 64)
+			}
 		}
 	}
-	for _, i := range reps {
+
+	// Phase 2: redundancy elimination on the representative quotient graph.
+	// A finite constraint (i,j) between representatives is dropped when
+	// some representative k ≠ i,j in row i's and column j's sets gives
+	// d(i,k) + d(k,j) ≤ d(i,j). Rows i and columns j are visited in
+	// ascending order, so the emission order matches the straight n³ scan
+	// exactly.
+	for i := 0; i < n; i++ {
+		if rep[i] != i {
+			continue
+		}
 		rowI := d.m[i*n : i*n+n]
-		for _, j := range reps {
-			if j == i {
-				continue
-			}
-			b := rowI[j]
-			if b == Infinity {
-				continue
-			}
-			redundant := false
-			for _, k := range reps {
-				if k == i || k == j {
-					continue
+		setI := rowBits[i*w : i*w+w]
+		for wj := 0; wj < w; wj++ {
+			for cj := setI[wj] & repBits[wj]; cj != 0; cj &= cj - 1 {
+				j := wj*64 + bits.TrailingZeros64(cj)
+				b := rowI[j]
+				if i == 0 && b == LEZero {
+					continue // implied by the base zone
 				}
-				dik := rowI[k]
-				if dik == Infinity {
-					continue
+				setJ := colBits[j*w : j*w+w]
+				redundant := false
+			witness:
+				for wk := range setI {
+					for c := setI[wk] & setJ[wk]; c != 0; c &= c - 1 {
+						k := wk*64 + bits.TrailingZeros64(c)
+						if addFinite(rowI[k], d.m[k*n+j]) <= b {
+							redundant = true
+							break witness
+						}
+					}
 				}
-				if Add(dik, d.m[k*n+j]) <= b {
-					redundant = true
-					break
+				if !redundant {
+					buf = append(buf, Constraint{uint16(i), uint16(j), b})
 				}
-			}
-			if !redundant && (i != 0 || b != LEZero) {
-				buf = append(buf, Constraint{uint16(i), uint16(j), b})
 			}
 		}
 	}

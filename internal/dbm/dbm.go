@@ -90,8 +90,10 @@ func (d *DBM) Equal(o *DBM) bool {
 }
 
 // IsEmpty reports whether the zone is inconsistent. On canonical DBMs
-// emptiness manifests as a negative diagonal entry; we check entry (0,0)
-// which Close and ConstrainClocked drive negative on inconsistency.
+// emptiness manifests as a negative diagonal entry; we check entry (0,0),
+// which every operation that can detect inconsistency (Close, Constrain,
+// ConstrainUppers, Intersect, the pivot-restricted closes) drives negative
+// through markEmpty.
 func (d *DBM) IsEmpty() bool { return d.m[0] < LEZero }
 
 // markEmpty flags the zone as inconsistent.
@@ -161,6 +163,63 @@ func (d *DBM) Constrain(i, j int, b Bound) bool {
 	return true
 }
 
+// ConstrainUppers intersects the zone with every upper bound xI ≺ B of ups
+// (each constraint's J must be 0; a clock may appear more than once) and
+// restores canonical form, assuming the input was canonical. It returns
+// false (and marks the zone empty) if the result is inconsistent. The
+// result is the one a Constrain call per constraint would leave.
+//
+// Every new edge I→0 enters the reference vertex, so a shortest path uses
+// at most one of them: the closed column 0 is
+// u[a] = min(m[a][0], min over ups of m[a][I] + B), and the rest of row a
+// becomes min(m[a][b], u[a] + m[0][b]). A negative cycle must pass through
+// vertex 0, so the zone is empty iff m[0][I] + B < ≤0 for some bound
+// (only a bound below m[I][0] can do that). Otherwise u[0] = ≤0 and row 0
+// is unchanged, so each row can be updated in place from its own entries
+// and row 0. O(n·k + n·c) for k bounds and c changed rows, against O(k·n²)
+// for k Constrain calls, and O(k) when no bound is below its m[I][0].
+func (d *DBM) ConstrainUppers(ups []Constraint) bool {
+	if d.IsEmpty() {
+		return false
+	}
+	n := d.n
+	row0 := d.m[:n]
+	tightens := false
+	for _, c := range ups {
+		if c.J != 0 {
+			panic("dbm: ConstrainUppers needs upper bounds (J == 0)")
+		}
+		if c.B < d.m[int(c.I)*n] {
+			tightens = true
+			if Add(row0[c.I], c.B) < LEZero {
+				d.markEmpty()
+				return false
+			}
+		}
+	}
+	if !tightens {
+		return true // the zone already satisfies every bound
+	}
+	for a := 1; a < n; a++ {
+		rowA := d.m[a*n : a*n+n]
+		u := rowA[0]
+		for _, c := range ups {
+			if s := Add(rowA[c.I], c.B); s < u {
+				u = s
+			}
+		}
+		if u == rowA[0] {
+			continue
+		}
+		for b, r0 := range row0 {
+			if s := Add(u, r0); s < rowA[b] {
+				rowA[b] = s
+			}
+		}
+	}
+	return true
+}
+
 // Satisfiable reports whether intersecting with xi - xj ≺ c would leave the
 // zone non-empty, without modifying it. Requires canonical form.
 func (d *DBM) Satisfiable(i, j int, b Bound) bool {
@@ -175,6 +234,27 @@ func (d *DBM) Satisfiable(i, j int, b Bound) bool {
 func (d *DBM) Up() {
 	for i := 1; i < d.n; i++ {
 		d.m[i*d.n+0] = Infinity
+	}
+}
+
+// UpUnder is Up followed by ConstrainUppers(ups) — delay while the upper
+// bounds ups (each J must be 0) hold — for a canonical zone that already
+// satisfies them. Only column 0 changes: m[a][0] becomes the minimum over
+// ups of m[a][I] + B (∞ if none is finite). Every other entry stays, since
+// m[a][I] + B + m[0][b] ≥ m[a][I] + m[I][0] + m[0][b] ≥ m[a][b] held before
+// the delay, and delay cannot empty the zone or break a constraint between
+// two clocks. O(n·k) for k bounds, against O(k·n²) for k Constrain calls.
+func (d *DBM) UpUnder(ups []Constraint) {
+	n := d.n
+	for a := 1; a < n; a++ {
+		rowA := d.m[a*n : a*n+n]
+		u := Infinity
+		for _, c := range ups {
+			if s := Add(rowA[c.I], c.B); s < u {
+				u = s
+			}
+		}
+		rowA[0] = u
 	}
 }
 
@@ -354,42 +434,46 @@ func (d *DBM) ExtrapolateLU(lower, upper []int32) bool {
 	// known to be strictly tighter; see zoneLBExceeds), so the same
 	// raise-confined partial re-canonicalization as in ExtrapolateMaxBounds
 	// applies.
+	//
+	// Row 0 changes only in the final loop, so every predicate on it is
+	// fixed up front: exceeds[j] is zoneLBExceeds(d, j, upper), and the
+	// zone's lower bound on clock i decides row i as a whole. A row is
+	// either widened entirely (no lower-bound guards on clock i, or a lower
+	// bound above lower[i]) or only its finite entries are examined.
 	s := getRaiseScratch(n)
-	raise := func(i, j int, b Bound) {
-		if d.m[i*n+j] != b {
-			d.m[i*n+j] = b
+	exceeds := s.exceeds
+	for j := 1; j < n; j++ {
+		exceeds[j] = zoneLBExceeds(d, j, upper)
+	}
+	for i := 1; i < n; i++ {
+		row := d.m[i*n : i*n+n]
+		li := int64(lower[i])
+		wholeRow := li < 0 || (d.m[i] != Infinity && -int64(d.m[i].Value()) > li)
+		raised := false
+		for j, b := range row {
+			if b == Infinity || j == i {
+				continue
+			}
+			if wholeRow || int64(b.Value()) > li || (j != 0 && exceeds[j]) {
+				row[j] = Infinity
+				raised = true
+			}
+		}
+		if raised {
 			s.mark(i)
 		}
 	}
-	for i := 1; i < n; i++ {
-		lbI := int64(0) // lower bound of clock i in the zone: -value(M[0][i])
-		if d.m[i] != Infinity {
-			lbI = -int64(d.m[i].Value())
-		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			b := d.m[i*n+j]
-			switch {
-			case b != Infinity && (lower[i] < 0 || int64(b.Value()) > int64(lower[i])):
-				raise(i, j, Infinity)
-			case lower[i] >= 0 && lbI > int64(lower[i]):
-				raise(i, j, Infinity)
-			case j != 0 && b != Infinity && zoneLBExceeds(d, j, upper):
-				raise(i, j, Infinity)
-			}
-		}
-	}
 	for j := 1; j < n; j++ {
-		if zoneLBExceeds(d, j, upper) {
-			if upper[j] < 0 {
-				if d.m[j] != LEZero {
-					raise(0, j, LEZero)
-				}
-			} else {
-				raise(0, j, LT(-upper[j]))
-			}
+		if !exceeds[j] {
+			continue
+		}
+		b := LEZero
+		if upper[j] >= 0 {
+			b = LT(-upper[j])
+		}
+		if d.m[j] != b {
+			d.m[j] = b
+			s.mark(0)
 		}
 	}
 	if len(s.rows) == 0 {

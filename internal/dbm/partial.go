@@ -118,11 +118,12 @@ func (d *DBM) closePivots(mask uint64) bool {
 }
 
 // raiseScratch is the reusable buffer set of one partial close after a
-// raising operation (extrapolation): the touched-row set and, in check
-// mode, the full-Close reference copy. Pooled because extrapolation runs
-// once per generated successor.
+// raising operation (extrapolation): the touched-row set, ExtrapolateLU's
+// per-column predicate and, in check mode, the full-Close reference copy.
+// Pooled because extrapolation runs once per generated successor.
 type raiseScratch struct {
 	touched []bool
+	exceeds []bool
 	rows    []int
 	ref     *DBM
 }
@@ -133,9 +134,11 @@ func getRaiseScratch(n int) *raiseScratch {
 	s := raisePool.Get().(*raiseScratch)
 	if cap(s.touched) < n {
 		s.touched = make([]bool, n)
+		s.exceeds = make([]bool, n)
 		s.rows = make([]int, 0, n)
 	}
 	s.touched = s.touched[:n]
+	s.exceeds = s.exceeds[:n]
 	for i := range s.touched {
 		s.touched[i] = false
 	}

@@ -137,6 +137,14 @@ type engineCtx struct {
 
 	// keyBuf is the discrete-key scratch buffer.
 	keyBuf []byte
+
+	// ups and diag hold the invariants of the location vector last passed
+	// to applyInvariants, split by shape (finishZone reuses ups for the
+	// delay); committedBuf backs the committed-automata list of
+	// successors. All three are bounded by the model, not by the search.
+	ups          []dbm.Constraint
+	diag         []ta.ClockConstraint
+	committedBuf []int
 }
 
 // maxFreeZones bounds the per-worker zone free-list; maxFreeNodes the node
@@ -380,34 +388,53 @@ func (c *engineCtx) extrapolate(locs []int32, z *dbm.DBM) bool {
 }
 
 // applyInvariants intersects the zone with every location invariant of the
-// vector, returning false on emptiness.
-func (en *engine) applyInvariants(locs []int32, z *dbm.DBM) bool {
-	for ai, a := range en.sys.Automata {
-		for _, c := range a.Locations[locs[ai]].Invariant {
-			if !z.Constrain(c.I, c.J, c.B) {
-				return false
+// vector, returning false on emptiness. Validate admits only upper bounds
+// xI - xJ ≺ B (I ≠ 0): those on one clock (J = 0) are applied as one batch
+// and left in c.ups, the diagonal ones (J ≠ 0) one Constrain each.
+func (c *engineCtx) applyInvariants(locs []int32, z *dbm.DBM) bool {
+	ups, diag := c.ups[:0], c.diag[:0]
+	for ai, a := range c.en.sys.Automata {
+		for _, cc := range a.Locations[locs[ai]].Invariant {
+			if cc.J == 0 {
+				ups = append(ups, dbm.Constraint{I: uint16(cc.I), B: cc.B})
+			} else {
+				diag = append(diag, cc)
 			}
+		}
+	}
+	c.ups, c.diag = ups, diag
+	if !z.ConstrainUppers(ups) {
+		return false
+	}
+	for _, cc := range diag {
+		if !z.Constrain(cc.I, cc.J, cc.B) {
+			return false
 		}
 	}
 	return true
 }
 
-// urgency classifies a discrete state: committed automata present, and
-// whether delay is forbidden (committed or urgent location, or an enabled
-// urgent-channel synchronization).
-func (c *engineCtx) urgency(locs []int32, env []int32) (committed []int, noDelay bool) {
-	en := c.en
+// committed appends to dst the automata of locs in a committed location.
+func (en *engine) committed(dst []int, locs []int32) []int {
 	for ai, a := range en.sys.Automata {
-		switch a.Locations[locs[ai]].Kind {
-		case ta.Committed:
-			committed = append(committed, ai)
-			noDelay = true
-		case ta.Urgent:
-			noDelay = true
+		if a.Locations[locs[ai]].Kind == ta.Committed {
+			dst = append(dst, ai)
 		}
 	}
-	if noDelay || !en.hasUrgentChan {
-		return committed, noDelay
+	return dst
+}
+
+// noDelay reports whether a discrete state forbids delay: a committed or
+// urgent location, or an enabled urgent-channel synchronization.
+func (c *engineCtx) noDelay(locs []int32, env []int32) bool {
+	en := c.en
+	for ai, a := range en.sys.Automata {
+		if a.Locations[locs[ai]].Kind != ta.Normal {
+			return true
+		}
+	}
+	if !en.hasUrgentChan {
+		return false
 	}
 	// Check for an enabled urgent synchronization. Urgent-channel edges
 	// have no clock guards (enforced by Validate), so enabledness depends
@@ -454,22 +481,20 @@ outer:
 		senders[ch] = senders[ch][:0]
 	}
 	c.urgTouched = touched[:0]
-	return committed, noDelay || urgentSync
+	return urgentSync
 }
 
 // finishZone completes a successor zone: target invariants, delay closure
-// when permitted, re-application of invariants, and extrapolation. Returns
-// false if the zone empties.
+// under them when permitted, and extrapolation. Returns false if the zone
+// empties. The delay leaves diagonal invariants intact (it shifts every
+// clock alike), so only the upper bounds need re-applying, and UpUnder
+// does Up plus that re-application in one pass.
 func (c *engineCtx) finishZone(locs []int32, env []int32, z *dbm.DBM) bool {
-	en := c.en
-	if !en.applyInvariants(locs, z) {
+	if !c.applyInvariants(locs, z) {
 		return false
 	}
-	if _, noDelay := c.urgency(locs, env); !noDelay {
-		z.Up()
-		if !en.applyInvariants(locs, z) {
-			return false
-		}
+	if !c.noDelay(locs, env) {
+		z.UpUnder(c.ups)
 	}
 	return c.extrapolate(locs, z)
 }
@@ -558,7 +583,8 @@ func (c *engineCtx) fire(n *node, t Transition) *node {
 // those leaving a committed location when any automaton is committed.
 func (c *engineCtx) successors(n *node, yield func(*node)) {
 	en := c.en
-	committed, _ := c.urgency(n.locs, n.env)
+	committed := en.committed(c.committedBuf[:0], n.locs)
+	c.committedBuf = committed
 	isCommitted := func(ai int) bool {
 		for _, cm := range committed {
 			if cm == ai {

@@ -1,9 +1,10 @@
 package mc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"guidedta/internal/expr"
@@ -308,12 +309,12 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 			// first: DFS pops the last push, BFS the first.
 			prio := en.prio
 			if en.opts.Search == DFS {
-				sort.SliceStable(succBuf, func(i, j int) bool {
-					return prio(succBuf[i].via) < prio(succBuf[j].via)
+				slices.SortStableFunc(succBuf, func(a, b *node) int {
+					return cmp.Compare(prio(a.via), prio(b.via))
 				})
 			} else {
-				sort.SliceStable(succBuf, func(i, j int) bool {
-					return prio(succBuf[i].via) > prio(succBuf[j].via)
+				slices.SortStableFunc(succBuf, func(a, b *node) int {
+					return cmp.Compare(prio(b.via), prio(a.via))
 				})
 			}
 		}

@@ -1,9 +1,10 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -474,12 +475,12 @@ func (ps *parSearch) expand(ctx *engineCtx, id int, w *parWorker, my *deque, n *
 	if en.prio != nil && len(succBuf) > 1 {
 		prio := en.prio
 		if en.opts.Search == DFS {
-			sort.SliceStable(succBuf, func(i, j int) bool {
-				return prio(succBuf[i].via) < prio(succBuf[j].via)
+			slices.SortStableFunc(succBuf, func(a, b *node) int {
+				return cmp.Compare(prio(a.via), prio(b.via))
 			})
 		} else {
-			sort.SliceStable(succBuf, func(i, j int) bool {
-				return prio(succBuf[i].via) > prio(succBuf[j].via)
+			slices.SortStableFunc(succBuf, func(a, b *node) int {
+				return cmp.Compare(prio(b.via), prio(a.via))
 			})
 		}
 	}

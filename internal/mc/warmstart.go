@@ -242,7 +242,7 @@ func warmSeed(c *engineCtx, store stateStore, goal Goal) *warmState {
 		// re-extrapolated — both operations could only enlarge it, and
 		// shrinking is the safe direction for a state that will prune
 		// future exploration.
-		if !en.applyInvariants(n.locs, z) {
+		if !c.applyInvariants(n.locs, z) {
 			c.freeZone(z)
 			n.locs, n.env = nil, nil
 			w.dropped++
@@ -326,7 +326,8 @@ func (c *engineCtx) replayTrace(trace []Transition, goal Goal) *node {
 		if !c.transitionShaped(t) {
 			return nil
 		}
-		committed, _ := c.urgency(cur.locs, cur.env)
+		committed := en.committed(c.committedBuf[:0], cur.locs)
+		c.committedBuf = committed
 		if len(committed) > 0 {
 			allowed := false
 			for _, cm := range committed {
