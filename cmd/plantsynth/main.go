@@ -65,9 +65,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := tadsl.Write(f, p.Sys, &p.Goal); err != nil {
-			fatal(err)
+		err = tadsl.Write(f, p.Sys, &p.Goal)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatal(fmt.Errorf("export %s: %w", *export, err))
 		}
 		fmt.Printf("wrote %s (%v); check it with: go run ./cmd/guidedmc %s\n",
 			*export, p.Sys.Stats(), *export)

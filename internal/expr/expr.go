@@ -12,7 +12,7 @@ package expr
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Op identifies a binary or unary operator.
@@ -37,14 +37,19 @@ const (
 	OpNeg // unary
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpMod: "%",
 	OpEq: "==", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
 	OpAnd: "&&", OpOr: "||", OpNot: "!", OpNeg: "-",
 }
 
-// String returns the operator's source form.
-func (o Op) String() string { return opNames[o] }
+// String returns the operator's source form ("" for an unknown operator).
+func (o Op) String() string {
+	if o < 0 || int(o) >= len(opNames) {
+		return ""
+	}
+	return opNames[o]
+}
 
 // Expr is an integer expression evaluated against a store.
 type Expr interface {
@@ -75,12 +80,7 @@ type Const struct {
 func (c Const) Eval([]int32) int32 { return c.Val }
 
 // String implements Expr.
-func (c Const) String() string {
-	if c.Name != "" {
-		return c.Name
-	}
-	return fmt.Sprintf("%d", c.Val)
-}
+func (c Const) String() string { return string(Append(nil, c)) }
 
 // Var reads the scalar variable stored at a fixed store offset.
 type Var struct {
@@ -113,7 +113,7 @@ func (ix Index) Eval(env []int32) int32 {
 }
 
 // String implements Expr.
-func (ix Index) String() string { return fmt.Sprintf("%s[%s]", ix.Name, ix.Idx) }
+func (ix Index) String() string { return string(Append(nil, ix)) }
 
 // Unary applies OpNot or OpNeg.
 type Unary struct {
@@ -138,7 +138,7 @@ func (u Unary) Eval(env []int32) int32 {
 }
 
 // String implements Expr.
-func (u Unary) String() string { return fmt.Sprintf("%s%s", u.Op, paren(u.X)) }
+func (u Unary) String() string { return string(Append(nil, u)) }
 
 // Binary applies a binary operator. Logical && and || short-circuit.
 type Binary struct {
@@ -196,9 +196,7 @@ func (b Binary) Eval(env []int32) int32 {
 }
 
 // String implements Expr.
-func (b Binary) String() string {
-	return fmt.Sprintf("%s %s %s", paren(b.L), b.Op, paren(b.R))
-}
+func (b Binary) String() string { return string(Append(nil, b)) }
 
 // Cond is the conditional operator c ? t : f.
 type Cond struct {
@@ -214,9 +212,7 @@ func (c Cond) Eval(env []int32) int32 {
 }
 
 // String implements Expr.
-func (c Cond) String() string {
-	return fmt.Sprintf("(%s ? %s : %s)", c.C, c.T, c.F)
-}
+func (c Cond) String() string { return string(Append(nil, c)) }
 
 func boolVal(b bool) int32 {
 	if b {
@@ -225,14 +221,58 @@ func boolVal(b bool) int32 {
 	return 0
 }
 
-// paren wraps compound subexpressions in parentheses so that the printed
-// form re-parses with identical structure regardless of precedence.
-func paren(e Expr) string {
+// Append appends the source form of e to dst and returns the extended
+// slice. It is the one printer behind every String method: each node type
+// is rendered in place, with no intermediate strings, so callers that
+// print many expressions (the model serializer and hash) allocate only
+// when dst grows.
+func Append(dst []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case Const:
+		if e.Name != "" {
+			return append(dst, e.Name...)
+		}
+		return strconv.AppendInt(dst, int64(e.Val), 10)
+	case Var:
+		return append(dst, e.Name...)
+	case Index:
+		dst = append(dst, e.Name...)
+		dst = append(dst, '[')
+		dst = Append(dst, e.Idx)
+		return append(dst, ']')
+	case Unary:
+		dst = append(dst, e.Op.String()...)
+		return paren(dst, e.X)
+	case Binary:
+		dst = paren(dst, e.L)
+		dst = append(dst, ' ')
+		dst = append(dst, e.Op.String()...)
+		dst = append(dst, ' ')
+		return paren(dst, e.R)
+	case Cond:
+		dst = append(dst, '(')
+		dst = Append(dst, e.C)
+		dst = append(dst, " ? "...)
+		dst = Append(dst, e.T)
+		dst = append(dst, " : "...)
+		dst = Append(dst, e.F)
+		return append(dst, ')')
+	default:
+		return append(dst, e.String()...)
+	}
+}
+
+// paren appends e, wrapping compound subexpressions in parentheses so that
+// the printed form re-parses with identical structure regardless of
+// precedence.
+func paren(dst []byte, e Expr) []byte {
 	switch e.(type) {
 	case Const, Var, Index, Cond:
-		return e.String()
+		return Append(dst, e)
 	default:
-		return "(" + e.String() + ")"
+		dst = append(dst, '(')
+		dst = Append(dst, e)
+		return append(dst, ')')
 	}
 }
 
@@ -277,7 +317,17 @@ func (a Assign) Exec(env []int32) {
 }
 
 // String implements fmt.Stringer.
-func (a Assign) String() string { return fmt.Sprintf("%s := %s", a.LHS, a.RHS) }
+func (a Assign) String() string { return string(a.appendTo(nil)) }
+
+func (a Assign) appendTo(dst []byte) []byte {
+	if lhs, ok := a.LHS.(Expr); ok {
+		dst = Append(dst, lhs)
+	} else {
+		dst = append(dst, a.LHS.String()...)
+	}
+	dst = append(dst, " := "...)
+	return Append(dst, a.RHS)
+}
 
 // ExecAll runs a list of assignments in order.
 func ExecAll(as []Assign, env []int32) {
@@ -287,10 +337,16 @@ func ExecAll(as []Assign, env []int32) {
 }
 
 // FormatAssigns renders an assignment list as "a := 1, b[i] := 2".
-func FormatAssigns(as []Assign) string {
-	parts := make([]string, len(as))
+func FormatAssigns(as []Assign) string { return string(AppendAssigns(nil, as)) }
+
+// AppendAssigns appends the FormatAssigns form of as to dst and returns
+// the extended slice.
+func AppendAssigns(dst []byte, as []Assign) []byte {
 	for i, a := range as {
-		parts[i] = a.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = a.appendTo(dst)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }

@@ -50,8 +50,9 @@ func fuzzTable() *Table {
 }
 
 // FuzzExpr feeds arbitrary text through Parse. Contract: parsing never
-// panics, and a successfully parsed expression's String() form reparses
-// to an expression with identical evaluation behavior.
+// panics, a successfully parsed expression's String() form matches the
+// fmt-based reference printer byte for byte, and it reparses to an
+// expression with identical evaluation behavior.
 func FuzzExpr(f *testing.F) {
 	// Seeds drawn from the guards and updates of examples/models/*.gta.
 	for _, s := range []string{
@@ -67,6 +68,9 @@ func FuzzExpr(f *testing.F) {
 		env := tab.NewEnv()
 		if e, err := Parse(src, tab); err == nil {
 			s := e.String()
+			if ref := stringRef(e); s != ref {
+				t.Fatalf("String() of %q = %q, reference printer %q", src, s, ref)
+			}
 			e2, err := Parse(s, tab)
 			if err != nil {
 				t.Fatalf("String round-trip: %q -> %q: %v", src, s, err)
@@ -79,6 +83,9 @@ func FuzzExpr(f *testing.F) {
 		}
 		if as, err := ParseAssignList(src, tab); err == nil && len(as) > 0 {
 			s := FormatAssigns(as)
+			if ref := formatAssignsRef(as); s != ref {
+				t.Fatalf("FormatAssigns of %q = %q, reference printer %q", src, s, ref)
+			}
 			if _, err := ParseAssignList(s, tab); err != nil {
 				t.Fatalf("assign round-trip: %q -> %q: %v", src, s, err)
 			}

@@ -1,4 +1,4 @@
-package tadsl
+package tadsl_test
 
 import (
 	"os"
@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/tadsl"
 )
 
 // FuzzParse feeds arbitrary text through the full Parse → Write → Parse
 // round trip. Contract: Parse never panics (malformed input is a parse
 // error — a panic here would take down mcserved), and any model that
 // parses serializes to a form that reparses to the identical canonical
-// text (so tadsl.Hash is a sound cache key).
+// text (so tadsl.Hash is a sound cache key), byte for byte the text of the
+// fmt-based reference writer (so no digest moved with the printer).
 func FuzzParse(f *testing.F) {
 	dir := filepath.Join("..", "..", "examples", "models")
 	entries, err := os.ReadDir(dir)
@@ -40,7 +42,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("clock x\nautomaton A {\n init loc a { inv x <= 3 }\n urgent loc b\n a -> b { guard x >= 1; do x := 0 }\n}\nquery exists A.b && deadlock\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := Parse(src)
+		m, err := tadsl.Parse(src)
 		if err != nil {
 			return
 		}
@@ -49,10 +51,13 @@ func FuzzParse(f *testing.F) {
 			q = &m.Query
 		}
 		var w1 strings.Builder
-		if err := Write(&w1, m.Sys, q); err != nil {
+		if err := tadsl.Write(&w1, m.Sys, q); err != nil {
 			t.Fatalf("Write failed on parsed model: %v", err)
 		}
-		m2, err := Parse(w1.String())
+		if ref := writeRef(m.Sys, q); w1.String() != ref {
+			t.Fatalf("Write differs from the reference writer\n--- Write ---\n%s--- reference ---\n%s", w1.String(), ref)
+		}
+		m2, err := tadsl.Parse(w1.String())
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n--- canonical ---\n%s--- input ---\n%s", err, w1.String(), src)
 		}
@@ -61,7 +66,7 @@ func FuzzParse(f *testing.F) {
 			q2 = &m2.Query
 		}
 		var w2 strings.Builder
-		if err := Write(&w2, m2.Sys, q2); err != nil {
+		if err := tadsl.Write(&w2, m2.Sys, q2); err != nil {
 			t.Fatalf("Write failed on reparsed model: %v", err)
 		}
 		if w1.String() != w2.String() {
@@ -90,7 +95,7 @@ func TestParseRejectsDuplicateDeclarations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(tc.src); err == nil {
+			if _, err := tadsl.Parse(tc.src); err == nil {
 				t.Fatalf("Parse accepted %q", tc.src)
 			}
 		})
@@ -102,7 +107,7 @@ func TestParseRejectsDuplicateDeclarations(t *testing.T) {
 // the query-free model (a wrong-verdict cache hit waiting to happen).
 func TestWriteSerializesDeadlockQuery(t *testing.T) {
 	src := "int v 0\nautomaton A {\n init loc a\n a -> a { guard v < 1; do v := v + 1 }\n}\nquery exists deadlock\n"
-	m, err := Parse(src)
+	m, err := tadsl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +115,13 @@ func TestWriteSerializesDeadlockQuery(t *testing.T) {
 		t.Fatal("query did not parse as a deadlock goal")
 	}
 	var buf strings.Builder
-	if err := Write(&buf, m.Sys, &m.Query); err != nil {
+	if err := tadsl.Write(&buf, m.Sys, &m.Query); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "query exists deadlock") {
 		t.Fatalf("deadlock query lost in serialization:\n%s", buf.String())
 	}
-	m2, err := Parse(buf.String())
+	m2, err := tadsl.Parse(buf.String())
 	if err != nil {
 		t.Fatalf("canonical form does not reparse: %v\n%s", err, buf.String())
 	}
@@ -124,11 +129,11 @@ func TestWriteSerializesDeadlockQuery(t *testing.T) {
 		t.Fatal("deadlock flag lost in round trip")
 	}
 
-	withQuery, err := Hash(m.Sys, &m.Query)
+	withQuery, err := tadsl.Hash(m.Sys, &m.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Hash(m.Sys, nil)
+	without, err := tadsl.Hash(m.Sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,192 +1,289 @@
 package tadsl
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"guidedta/internal/expr"
 	"guidedta/internal/mc"
 	"guidedta/internal/ta"
 )
 
+// flushAt is how much canonical text the printer gathers before handing
+// it to its writer. The buffer stays small and fixed: a model's text is
+// streamed, never materialized whole.
+const flushAt = 4 << 10
+
 // Write renders a system (and optional query) in the tadsl format, such
-// that Parse(Write(m)) reconstructs an equivalent model.
+// that Parse(Write(m)) reconstructs an equivalent model. It returns the
+// first error the writer reports; nothing is written after it.
 func Write(w io.Writer, sys *ta.System, query *mc.Goal) error {
-	fmt.Fprintf(w, "system %s\n\n", sanitizeName(sys.Name))
+	p := printer{w: w, buf: make([]byte, 0, flushAt+flushAt/4)}
+	p.model(sys, query)
+	p.flush()
+	return p.err
+}
+
+// printer appends the canonical text of a model line by line into buf and
+// passes it on to w whenever a line ends past flushAt bytes.
+type printer struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// endLine terminates the current line and flushes when the buffer is full.
+func (p *printer) endLine() {
+	p.buf = append(p.buf, '\n')
+	if len(p.buf) >= flushAt {
+		p.flush()
+	}
+}
+
+func (p *printer) flush() {
+	if p.err == nil && len(p.buf) > 0 {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+func (p *printer) str(s string) { p.buf = append(p.buf, s...) }
+
+func (p *printer) num(v int64) { p.buf = strconv.AppendInt(p.buf, v, 10) }
+
+func (p *printer) model(sys *ta.System, query *mc.Goal) {
+	p.str("system ")
+	p.buf = appendSanitized(p.buf, sys.Name)
+	p.str("\n")
+	p.endLine()
 
 	for _, name := range sys.Table.ConstNames() {
 		v, _ := sys.Table.LookupConst(name)
-		fmt.Fprintf(w, "const %s %d\n", name, v)
+		p.str("const ")
+		p.str(name)
+		p.str(" ")
+		p.num(int64(v))
+		p.endLine()
 	}
 
 	if names := sys.Table.Names(); len(names) > 0 {
 		env := sys.Table.NewEnv() // the initial values
 		for _, name := range names {
+			p.str("int ")
+			p.str(name)
 			if v, ok := sys.Table.LookupVar(name); ok {
-				fmt.Fprintf(w, "int %s %d\n", name, env[v.Off])
+				p.str(" ")
+				p.num(int64(env[v.Off]))
+				p.endLine()
 				continue
 			}
 			base, size, _ := sys.Table.LookupArray(name)
-			fmt.Fprintf(w, "int %s[%d]", name, size)
+			p.str("[")
+			p.num(int64(size))
+			p.str("]")
 			for i := 0; i < size; i++ {
-				fmt.Fprintf(w, " %d", env[base+i])
+				p.str(" ")
+				p.num(int64(env[base+i]))
 			}
-			fmt.Fprintln(w)
+			p.endLine()
 		}
 	}
 
 	if sys.NumClocks() > 1 {
-		fmt.Fprint(w, "clock")
+		p.str("clock")
 		for i := 1; i < sys.NumClocks(); i++ {
-			fmt.Fprintf(w, " %s", sys.ClockName(i))
+			p.str(" ")
+			p.str(sys.ClockName(i))
 		}
-		fmt.Fprintln(w)
+		p.endLine()
 	}
 
-	var plain, urgent []string
-	for i := 0; i < sys.NumChannels(); i++ {
-		ch := sys.Channel(i)
-		if ch.Urgent {
-			urgent = append(urgent, ch.Name)
-		} else {
-			plain = append(plain, ch.Name)
-		}
-	}
-	if len(plain) > 0 {
-		fmt.Fprintf(w, "chan %s\n", strings.Join(plain, " "))
-	}
-	if len(urgent) > 0 {
-		fmt.Fprintf(w, "urgent chan %s\n", strings.Join(urgent, " "))
-	}
+	p.channels(sys, false, "chan")
+	p.channels(sys, true, "urgent chan")
 
 	for _, a := range sys.Automata {
-		fmt.Fprintf(w, "\nautomaton %s {\n", a.Name)
-		for li, l := range a.Locations {
-			var prefix string
-			if li == a.Init {
-				prefix = "init "
-			}
-			switch l.Kind {
-			case ta.Committed:
-				prefix += "committed "
-			case ta.Urgent:
-				prefix += "urgent "
-			}
-			fmt.Fprintf(w, "    %sloc %s", prefix, l.Name)
-			if len(l.Invariant) > 0 {
-				fmt.Fprintf(w, " { inv %s }", formatConstraints(sys, l.Invariant))
-			}
-			fmt.Fprintln(w)
-		}
-		for _, e := range a.Edges {
-			fmt.Fprintf(w, "    %s -> %s", a.Locations[e.Src].Name, a.Locations[e.Dst].Name)
-			var clauses []string
-			guard := formatGuard(sys, e)
-			if guard != "" {
-				clauses = append(clauses, "guard "+guard)
-			}
-			if e.Dir != ta.NoSync {
-				mark := "!"
-				if e.Dir == ta.Recv {
-					mark = "?"
-				}
-				clauses = append(clauses, "sync "+sys.Channel(e.Chan).Name+mark)
-			}
-			if du := formatUpdate(sys, e); du != "" {
-				clauses = append(clauses, "do "+du)
-			}
-			if len(clauses) > 0 {
-				fmt.Fprintf(w, " { %s }", strings.Join(clauses, "; "))
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintln(w, "}")
+		p.automaton(sys, a)
 	}
 
 	if query != nil {
-		var atoms []string
-		if query.Deadlock {
-			// Without this atom a pure-deadlock query serialized to nothing,
-			// so its model hashed identically to the query-free model and
-			// could alias a cached verdict in the serving layer.
-			atoms = append(atoms, "deadlock")
-		}
-		for _, lr := range query.Locs {
-			a := sys.Automata[lr.Automaton]
-			atoms = append(atoms, fmt.Sprintf("%s.%s", a.Name, a.Locations[lr.Location].Name))
-		}
-		if query.Expr != nil {
-			atoms = append(atoms, query.Expr.String())
-		}
-		if len(atoms) > 0 {
-			fmt.Fprintf(w, "\nquery exists %s\n", strings.Join(atoms, " && "))
-		}
+		p.query(sys, query)
 	}
-	return nil
 }
 
-func sanitizeName(s string) string {
-	out := strings.Map(func(r rune) rune {
+// channels writes the declaration line of the plain or the urgent
+// channels, if there are any.
+func (p *printer) channels(sys *ta.System, urgent bool, keyword string) {
+	found := false
+	for i := 0; i < sys.NumChannels(); i++ {
+		ch := sys.Channel(i)
+		if ch.Urgent != urgent {
+			continue
+		}
+		if !found {
+			p.str(keyword)
+			found = true
+		}
+		p.str(" ")
+		p.str(ch.Name)
+	}
+	if found {
+		p.endLine()
+	}
+}
+
+func (p *printer) automaton(sys *ta.System, a *ta.Automaton) {
+	p.str("\nautomaton ")
+	p.str(a.Name)
+	p.str(" {")
+	p.endLine()
+	for li, l := range a.Locations {
+		p.str("    ")
+		if li == a.Init {
+			p.str("init ")
+		}
+		switch l.Kind {
+		case ta.Committed:
+			p.str("committed ")
+		case ta.Urgent:
+			p.str("urgent ")
+		}
+		p.str("loc ")
+		p.str(l.Name)
+		if len(l.Invariant) > 0 {
+			p.str(" { inv ")
+			p.constraints(sys, l.Invariant)
+			p.str(" }")
+		}
+		p.endLine()
+	}
+	for _, e := range a.Edges {
+		p.str("    ")
+		p.str(a.Locations[e.Src].Name)
+		p.str(" -> ")
+		p.str(a.Locations[e.Dst].Name)
+		p.edgeLabel(sys, e)
+		p.endLine()
+	}
+	p.str("}")
+	p.endLine()
+}
+
+// edgeLabel writes an edge's " { guard …; sync …; do … }" clauses, or
+// nothing when the edge has none.
+func (p *printer) edgeLabel(sys *ta.System, e ta.Edge) {
+	sep := " { "
+	if len(e.ClockGuard) > 0 || e.IntGuard != nil {
+		p.str(sep)
+		sep = "; "
+		p.str("guard ")
+		p.constraints(sys, e.ClockGuard)
+		if e.IntGuard != nil {
+			if len(e.ClockGuard) > 0 {
+				p.str(" && ")
+			}
+			p.buf = expr.Append(p.buf, e.IntGuard)
+		}
+	}
+	if e.Dir != ta.NoSync {
+		p.str(sep)
+		sep = "; "
+		p.str("sync ")
+		p.str(sys.Channel(e.Chan).Name)
+		if e.Dir == ta.Recv {
+			p.str("?")
+		} else {
+			p.str("!")
+		}
+	}
+	if len(e.Assigns) > 0 || len(e.Resets) > 0 {
+		p.str(sep)
+		sep = "; "
+		p.str("do ")
+		p.buf = expr.AppendAssigns(p.buf, e.Assigns)
+		for i, r := range e.Resets {
+			if i > 0 || len(e.Assigns) > 0 {
+				p.str(", ")
+			}
+			p.str(sys.ClockName(r.Clock))
+			p.str(" := ")
+			p.num(int64(r.Value))
+		}
+	}
+	if sep == "; " {
+		p.str(" }")
+	}
+}
+
+// constraints writes clock constraints in parseable form, joined by &&.
+func (p *printer) constraints(sys *ta.System, cs []ta.ClockConstraint) {
+	for i, c := range cs {
+		if i > 0 {
+			p.str(" && ")
+		}
+		op, gop := " < ", " > "
+		if c.B.IsWeak() {
+			op, gop = " <= ", " >= "
+		}
+		switch {
+		case c.J == 0:
+			p.str(sys.ClockName(c.I))
+			p.str(op)
+			p.num(int64(c.B.Value()))
+		case c.I == 0:
+			p.str(sys.ClockName(c.J))
+			p.str(gop)
+			p.num(int64(-c.B.Value()))
+		default:
+			p.str(sys.ClockName(c.I))
+			p.str(" - ")
+			p.str(sys.ClockName(c.J))
+			p.str(op)
+			p.num(int64(c.B.Value()))
+		}
+	}
+}
+
+func (p *printer) query(sys *ta.System, query *mc.Goal) {
+	if !query.Deadlock && len(query.Locs) == 0 && query.Expr == nil {
+		return
+	}
+	p.str("\nquery exists ")
+	sep := ""
+	if query.Deadlock {
+		// Without this atom a pure-deadlock query serialized to nothing,
+		// so its model hashed identically to the query-free model and
+		// could alias a cached verdict in the serving layer.
+		p.str("deadlock")
+		sep = " && "
+	}
+	for _, lr := range query.Locs {
+		a := sys.Automata[lr.Automaton]
+		p.str(sep)
+		sep = " && "
+		p.str(a.Name)
+		p.str(".")
+		p.str(a.Locations[lr.Location].Name)
+	}
+	if query.Expr != nil {
+		p.str(sep)
+		p.buf = expr.Append(p.buf, query.Expr)
+	}
+	p.endLine()
+}
+
+// appendSanitized appends s with every rune outside [A-Za-z0-9_] replaced
+// by '_', or "model" when s is empty.
+func appendSanitized(dst []byte, s string) []byte {
+	if s == "" {
+		return append(dst, "model"...)
+	}
+	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			return r
+			dst = append(dst, byte(r))
 		default:
-			return '_'
+			dst = append(dst, '_')
 		}
-	}, s)
-	if out == "" {
-		return "model"
 	}
-	return out
-}
-
-// formatConstraints renders clock constraints in parseable form.
-func formatConstraints(sys *ta.System, cs []ta.ClockConstraint) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = formatConstraint(sys, c)
-	}
-	return strings.Join(parts, " && ")
-}
-
-func formatConstraint(sys *ta.System, c ta.ClockConstraint) string {
-	op := "<"
-	if c.B.IsWeak() {
-		op = "<="
-	}
-	switch {
-	case c.J == 0:
-		return fmt.Sprintf("%s %s %d", sys.ClockName(c.I), op, c.B.Value())
-	case c.I == 0:
-		gop := ">"
-		if c.B.IsWeak() {
-			gop = ">="
-		}
-		return fmt.Sprintf("%s %s %d", sys.ClockName(c.J), gop, -c.B.Value())
-	default:
-		return fmt.Sprintf("%s - %s %s %d", sys.ClockName(c.I), sys.ClockName(c.J), op, c.B.Value())
-	}
-}
-
-func formatGuard(sys *ta.System, e ta.Edge) string {
-	var parts []string
-	if len(e.ClockGuard) > 0 {
-		parts = append(parts, formatConstraints(sys, e.ClockGuard))
-	}
-	if e.IntGuard != nil {
-		parts = append(parts, e.IntGuard.String())
-	}
-	return strings.Join(parts, " && ")
-}
-
-func formatUpdate(sys *ta.System, e ta.Edge) string {
-	var parts []string
-	if len(e.Assigns) > 0 {
-		parts = append(parts, expr.FormatAssigns(e.Assigns))
-	}
-	for _, r := range e.Resets {
-		parts = append(parts, fmt.Sprintf("%s := %d", sys.ClockName(r.Clock), r.Value))
-	}
-	return strings.Join(parts, ", ")
+	return dst
 }
