@@ -52,6 +52,7 @@ type runStats struct {
 	Found              bool    `json:"found"`
 	StatesExplored     int     `json:"states_explored"`
 	StatesStored       int     `json:"states_stored"`
+	DiscreteStates     int     `json:"discrete_states"`
 	StoreBytes         int64   `json:"store_bytes"`
 	PeakMemBytes       int64   `json:"peak_mem_bytes"`
 	BytesPerState      float64 `json:"bytes_per_state"`
@@ -337,6 +338,7 @@ func runCase(e suiteEntry, workers, repeat int, watch, progress bool) (benchCase
 			Found:              res.Found,
 			StatesExplored:     res.Stats.StatesExplored,
 			StatesStored:       res.Stats.StatesStored,
+			DiscreteStates:     res.Stats.DiscreteStates,
 			StoreBytes:         res.Stats.StoreBytes,
 			PeakMemBytes:       res.Stats.MemBytes,
 			BytesPerState:      res.Stats.BytesPerStoredState(),

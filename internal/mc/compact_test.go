@@ -176,9 +176,9 @@ func TestCompactPlantSchedules(t *testing.T) {
 			}
 			// The compact passed list must be materially smaller even at
 			// these 1–2 batch toy sizes, where the discrete part of each
-			// state dominates the small DBMs (≥2× is pinned at larger scale
+			// discrete state weighs as much as the small DBMs (≥2× is pinned at larger scale
 			// by TestCompactMemoryReduction; the ratio grows with the clock
-			// count — 12.8× on the capped 15-batch instance, see mcbench).
+			// count — 20× on the capped 15-batch instance, see mcbench).
 			if def.Stats.StoreBytes > 0 && cmp.Stats.StoreBytes*5 > def.Stats.StoreBytes*4 {
 				t.Errorf("compact store bytes %d not ≥1.25× below default %d",
 					cmp.Stats.StoreBytes, def.Stats.StoreBytes)

@@ -16,6 +16,10 @@ import (
 // form a tree via parent pointers for trace reconstruction. A node is
 // immutable after creation except for the subsumed flag.
 type node struct {
+	// locs and env are the discrete part. takeNode allocates them as one
+	// array (locs = d[:nl], env = d[nl:]); the passed store repoints a
+	// node it stores at the array its bucket's stored nodes share (see
+	// bucket), before the node is published.
 	locs   []int32
 	env    []int32
 	zone   *dbm.DBM
@@ -36,17 +40,21 @@ type node struct {
 	subsumed atomic.Bool
 }
 
-// memBytes estimates the heap footprint of the node for the explorer's
-// space accounting.
+// nodeOverhead is the accounted size of a node struct.
+const nodeOverhead = 96
+
+// memBytes estimates the whole heap footprint of a node that carries its
+// own discrete part: zone matrix, location vector, integer store and
+// struct. It is the frontier's charge for nodes no store retains (the bit
+// table); passed stores charge the discrete part once per bucket instead.
 func (n *node) memBytes() int64 {
-	return int64(n.zone.MemBytes()) + n.discreteBytes()
+	return int64(n.zone.MemBytes()) + n.discreteBytes() + nodeOverhead
 }
 
-// discreteBytes is the node's footprint excluding the zone matrix: the
-// location vector, integer store, and struct overhead. It is what a
-// compact-store entry keeps accounted after the zone is released.
+// discreteBytes is the footprint of the node's location vector and integer
+// store.
 func (n *node) discreteBytes() int64 {
-	return int64(4*(len(n.locs)+len(n.env))) + 96
+	return int64(4 * (len(n.locs) + len(n.env)))
 }
 
 // engine holds the immutable static data of one exploration: the system,
@@ -130,10 +138,14 @@ type engineCtx struct {
 	freeZones []*dbm.DBM
 	arena     *dbm.Arena
 
-	// freeNodes recycles the node structs (and their locs/env backing
-	// arrays) of successor candidates that were rejected before anything —
-	// store, frontier, or a child's parent pointer — could reference them.
+	// freeNodes recycles the node structs of successor candidates that
+	// were rejected before anything — store, frontier, or a child's parent
+	// pointer — could reference them, and of evicted nodes. freeDiscs
+	// recycles discrete-part arrays (one per node, see takeNode): those of
+	// rejected candidates, and the own copy of every node a passed store
+	// repointed at its bucket's shared one.
 	freeNodes []*node
+	freeDiscs [][]int32
 
 	// keyBuf is the discrete-key scratch buffer.
 	keyBuf []byte
@@ -148,7 +160,7 @@ type engineCtx struct {
 }
 
 // maxFreeZones bounds the per-worker zone free-list; maxFreeNodes the node
-// free-list.
+// and discrete-array free-lists.
 const (
 	maxFreeZones = 512
 	maxFreeNodes = 512
@@ -319,16 +331,53 @@ func (c *engineCtx) releaseNode(n *node) {
 }
 
 // takeNode returns a node struct for a successor candidate, reusing a
-// recycled one (and its locs/env backing arrays) when available. The caller
-// must overwrite every field; recycleNode has already cleared the reference
-// fields and the subsumed flag.
+// recycled one when available. Its locs and env are one array sized for
+// the model (locs = d[:nl], env = d[nl:]), recycled when available. The
+// caller must overwrite every field and both slices' contents;
+// recycleNode has already cleared the reference fields and the subsumed
+// flag.
 func (c *engineCtx) takeNode() *node {
+	var n *node
 	if k := len(c.freeNodes); k > 0 {
-		n := c.freeNodes[k-1]
+		n = c.freeNodes[k-1]
 		c.freeNodes = c.freeNodes[:k-1]
-		return n
+	} else {
+		n = &node{}
 	}
-	return &node{}
+	nl := len(c.en.sys.Automata)
+	var d []int32
+	if k := len(c.freeDiscs); k > 0 {
+		d = c.freeDiscs[k-1]
+		c.freeDiscs = c.freeDiscs[:k-1]
+	} else {
+		d = make([]int32, nl+c.en.sys.Table.Size())
+	}
+	n.locs, n.env = d[:nl], d[nl:]
+	return n
+}
+
+// freeDisc returns the discrete-part array of a takeNode node, given by
+// its locs, to the free-list. Only arrays nothing else references may be
+// released.
+func (c *engineCtx) freeDisc(locs []int32) {
+	if len(c.freeDiscs) < maxFreeNodes {
+		c.freeDiscs = append(c.freeDiscs, locs[:cap(locs)])
+	}
+}
+
+// offer adds the takeNode node s to store under key and reports whether
+// the store kept it. A store that keeps s may repoint it at its bucket's
+// copy of the discrete part (see bucket.share); s's own array then goes
+// back to the free-list for the next successor.
+func (c *engineCtx) offer(store stateStore, key []byte, s *node) bool {
+	own := s.locs
+	if !store.add(key, s) {
+		return false
+	}
+	if &s.locs[0] != &own[0] {
+		c.freeDisc(own)
+	}
+	return true
 }
 
 // recycleNode recycles both the zone and the struct of a node that is
@@ -338,11 +387,19 @@ func (c *engineCtx) takeNode() *node {
 // pointer to them, and the store dropped its reference when it marked
 // them). Published nodes must use releaseNode instead — their structs stay
 // reachable through the store, the frontier, or their children.
+//
+// A rejected candidate's discrete array is its own and is recycled too. An
+// evicted node's arrays may be its bucket's shared copy, which the bucket
+// and its other nodes still read: they are dropped, never reused.
 func (c *engineCtx) recycleNode(n *node) {
 	if n.zone != nil {
 		c.freeZone(n.zone)
 		n.zone = nil
 	}
+	if !n.subsumed.Load() {
+		c.freeDisc(n.locs)
+	}
+	n.locs, n.env = nil, nil
 	if len(c.freeNodes) < maxFreeNodes {
 		n.parent = nil
 		n.czone = nil
@@ -502,16 +559,17 @@ func (c *engineCtx) finishZone(locs []int32, env []int32, z *dbm.DBM) bool {
 // initial builds the initial symbolic state.
 func (c *engineCtx) initial() (*node, error) {
 	en := c.en
-	locs := make([]int32, len(en.sys.Automata))
+	n := c.takeNode()
 	for ai, a := range en.sys.Automata {
-		locs[ai] = int32(a.Init)
+		n.locs[ai] = int32(a.Init)
 	}
-	env := en.sys.Table.NewEnv()
+	copy(n.env, en.sys.Table.NewEnv())
 	z := dbm.Zero(en.nClocks)
-	if !c.finishZone(locs, env, z) {
+	if !c.finishZone(n.locs, n.env, z) {
 		return nil, fmt.Errorf("mc: initial state violates invariants")
 	}
-	return &node{locs: locs, env: env, zone: z}, nil
+	n.zone, n.parent, n.via, n.depth = z, nil, Transition{}, 0
+	return n, nil
 }
 
 // fire attempts transition t from n: e1 (and e2 for syncs) must already be
@@ -543,19 +601,19 @@ func (c *engineCtx) fire(n *node, t Transition) *node {
 	}
 
 	s := c.takeNode()
-	env := append(s.env[:0], n.env...)
+	locs, env := s.locs, s.env
+	copy(env, n.env)
 	// UPPAAL evaluates the sender's update before the receiver's.
 	expr.ExecAll(e1.Assigns, env)
 	if e2 != nil {
 		expr.ExecAll(e2.Assigns, env)
 	}
 
-	locs := append(s.locs[:0], n.locs...)
+	copy(locs, n.locs)
 	locs[t.A1] = int32(e1.Dst)
 	if e2 != nil {
 		locs[t.A2] = int32(e2.Dst)
 	}
-	s.locs, s.env = locs, env
 
 	for _, r := range e1.Resets {
 		z.Reset(r.Clock, r.Value)

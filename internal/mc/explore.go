@@ -208,7 +208,7 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 		}
 	}
 	if !resumed {
-		if store.add(ctx.stateKey(init), init) {
+		if ctx.offer(store, ctx.stateKey(init), init) {
 			front.push(init)
 			waitingBytes += waitingCost(init)
 			if init.czone != nil {
@@ -294,7 +294,7 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 				ctx.recycleNode(s)
 				return
 			}
-			if !store.add(ctx.stateKey(s), s) {
+			if !ctx.offer(store, ctx.stateKey(s), s) {
 				ctx.recycleNode(s)
 				return
 			}

@@ -78,7 +78,7 @@ type Options struct {
 	//
 	// On by default (DefaultOptions) since the compact hot path stopped
 	// round-tripping through full canonicalization: it cuts passed-store
-	// bytes 1.2–12.8× on the tracked benchmarks at a wall-time cost that is
+	// bytes 1.2–20× on the tracked benchmarks at a wall-time cost that is
 	// small on the zone-heavy plant instances (see BENCH_mc.json). Set it
 	// to false to keep every stored zone as a full matrix.
 	Compact bool
@@ -210,7 +210,9 @@ type Stats struct {
 	// (Workers > 1 only).
 	Steals int64
 	// StoreBytes is the passed store's accounted bytes at search end:
-	// stored zones (full or compact), interned keys, and bucket overhead.
+	// stored zones (full or compact) and node headers per entry, and per
+	// discrete state its interned key, its location vector and integer
+	// store (which its stored nodes share), and bucket overhead.
 	// MemBytes additionally tracks the peak including frontier overhead.
 	StoreBytes int64
 	// AvgZoneConstraints is the mean number of stored minimal constraints

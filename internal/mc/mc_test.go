@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -151,13 +152,19 @@ func TestNoSelfSync(t *testing.T) {
 // With the req invariant (x<=k) and the strict wait guard (x>k) mutual
 // exclusion holds; dropping the invariant breaks it.
 func fischer(t *testing.T, withInvariant bool) (*ta.System, Goal) {
+	return fischerN(t, 2, withInvariant)
+}
+
+// fischerN is fischer for n processes; the goal is a violation between
+// the first two.
+func fischerN(t testing.TB, n int, withInvariant bool) (*ta.System, Goal) {
 	t.Helper()
 	s := ta.NewSystem("fischer")
 	s.Table.DeclareVar("id", 0)
 	const k = 2
 	var csLocs []LocRequirement
-	for pid := 1; pid <= 2; pid++ {
-		name := []string{"", "P1", "P2"}[pid]
+	for pid := 1; pid <= n; pid++ {
+		name := fmt.Sprintf("P%d", pid)
 		x := s.AddClock("x" + name)
 		a := s.AddAutomaton(name)
 		idle := a.AddLocation("idle", ta.Normal)
@@ -169,13 +176,13 @@ func fischer(t *testing.T, withInvariant bool) (*ta.System, Goal) {
 		}
 		a.SetInit(idle)
 		a.Edge(idle, req).Guard("id == 0").Reset(x).Done()
-		a.Edge(req, wait).Assign("id := " + string(rune('0'+pid))).Reset(x).Done()
-		a.Edge(wait, cs).When(ta.GT(x, k)).Guard("id == " + string(rune('0'+pid))).Done()
+		a.Edge(req, wait).Assign(fmt.Sprintf("id := %d", pid)).Reset(x).Done()
+		a.Edge(wait, cs).When(ta.GT(x, k)).Guard(fmt.Sprintf("id == %d", pid)).Done()
 		a.Edge(wait, req).Guard("id == 0").Reset(x).Done()
 		a.Edge(cs, idle).Assign("id := 0").Done()
 		csLocs = append(csLocs, LocRequirement{Automaton: pid - 1, Location: cs})
 	}
-	return s, Goal{Desc: "mutex violation", Locs: csLocs}
+	return s, Goal{Desc: "mutex violation", Locs: csLocs[:2]}
 }
 
 func TestFischerMutexHolds(t *testing.T) {

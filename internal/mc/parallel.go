@@ -457,7 +457,7 @@ func (ps *parSearch) expand(ctx *engineCtx, id int, w *parWorker, my *deque, n *
 			return
 		}
 		ctx.keyBuf = discreteKey(ctx.keyBuf[:0], s.locs, s.env)
-		if !ps.store.add(ctx.keyBuf, s) {
+		if !ctx.offer(ps.store, ctx.keyBuf, s) {
 			ctx.recycleNode(s)
 			return
 		}

@@ -59,29 +59,74 @@ type localStore interface {
 // amortization.
 const bucketOverhead = 48
 
+// bucket is one discrete state's entry in a passed store, as in UPPAAL's
+// PWList: the antichain of the state's zones, whose nodes share one copy
+// of its location vector and integer store. The first node stored in a
+// bucket keeps its own; every later one is repointed at the copy its
+// stored nodes share (its own goes back to the inserting worker, see
+// engineCtx.offer), so the stored zones of one discrete state carry no
+// copy of it. A shared array is never written again, so it stays valid
+// for every node that points at it, evicted ones included. mapStore keeps
+// nodes as entries, compactStore compact entries.
+type bucket[E storeEntry] struct {
+	entries []E
+}
+
+// storeEntry is a bucket entry: it leads to its stored node.
+type storeEntry interface {
+	storedNode() *node
+}
+
+func (n *node) storedNode() *node        { return n }
+func (e compactEntry) storedNode() *node { return e.n }
+
+// bucketOf returns key's bucket, creating it on first sight of the
+// discrete state: the key string is interned, and the key and n's
+// discrete part, which becomes the one the bucket's nodes share, are
+// charged to *bytes here, once per bucket.
+func bucketOf[E storeEntry](m map[string]*bucket[E], key []byte, n *node, bytes *int64) *bucket[E] {
+	b := m[string(key)] // compiler-optimized: no key allocation
+	if b == nil {
+		b = &bucket[E]{}
+		m[string(key)] = b // interns the key string, once per discrete state
+		*bytes += int64(len(key)) + bucketOverhead + n.discreteBytes()
+	}
+	return b
+}
+
+// share points n, which is about to be inserted, at the discrete part the
+// bucket's stored nodes share; the first node of a bucket keeps its own,
+// and later nodes share that. Calling it again is harmless.
+func (b *bucket[E]) share(n *node) {
+	if len(b.entries) > 0 {
+		first := b.entries[0].storedNode()
+		n.locs, n.env = first.locs, first.env
+	}
+}
+
 // mapStore is the map-backed passed/waiting store (UPPAAL's PWList): per
 // discrete state, an antichain of maximal zones (with inclusion checking)
 // or a plain list (without). Nodes evicted by a subsuming newcomer are
 // flagged so the frontier drops them when they surface. Buckets are held by
 // pointer so the hot path does a single no-allocation map lookup and
-// mutates the bucket in place; the key string is interned exactly once,
-// when its discrete state is first seen. Not safe for concurrent use;
-// shardedStore wraps it for the parallel search.
+// mutates the bucket in place. Not safe for concurrent use; shardedStore
+// wraps it for the parallel search.
 type mapStore struct {
-	byKey     map[string]*zoneBucket
+	byKey     map[string]*bucket[*node]
 	inclusion bool
 	count     int
 	bytes     int64
 	evictions int64
 }
 
-// zoneBucket is the per-discrete-state zone antichain of a mapStore.
-type zoneBucket struct {
-	nodes []*node
+func newMapStore(inclusion bool) *mapStore {
+	return &mapStore{byKey: make(map[string]*bucket[*node]), inclusion: inclusion}
 }
 
-func newMapStore(inclusion bool) *mapStore {
-	return &mapStore{byKey: make(map[string]*zoneBucket), inclusion: inclusion}
+// mapEntryBytes is the accounted footprint of one mapStore entry: the zone
+// matrix and the node struct (the discrete part is its bucket's).
+func mapEntryBytes(n *node) int64 {
+	return int64(n.zone.MemBytes()) + nodeOverhead
 }
 
 // add inserts the state unless it is subsumed; it reports whether the state
@@ -96,44 +141,45 @@ func newMapStore(inclusion bool) *mapStore {
 // inclusion test entirely off the hot rejection path, where most candidates
 // die. compactStore.add relies on the same argument.
 func (p *mapStore) add(key []byte, n *node) bool {
-	b := p.byKey[string(key)] // compiler-optimized: no key allocation
-	if b == nil {
-		b = &zoneBucket{}
-		p.byKey[string(key)] = b // interns the key string, once per discrete state
-		p.bytes += int64(len(key)) + bucketOverhead
-	}
+	b := bucketOf(p.byKey, key, n, &p.bytes)
 	if p.inclusion {
-		for _, old := range b.nodes {
+		for _, old := range b.entries {
 			if old.zone.Includes(n.zone) {
 				return false
 			}
 		}
-		kept := b.nodes[:0]
-		for _, old := range b.nodes {
+		b.share(n) // before the evictions, which may empty the bucket
+		kept := b.entries[:0]
+		for _, old := range b.entries {
 			if n.zone.Includes(old.zone) {
 				// All reads of the evicted node precede the subsumed flag:
 				// the atomic store is the release point after which the
 				// popping worker may recycle the node and its zone.
 				p.count--
-				p.bytes -= old.memBytes()
+				p.bytes -= mapEntryBytes(old)
 				p.evictions++
 				old.subsumed.Store(true)
 				continue
 			}
 			kept = append(kept, old)
 		}
-		b.nodes = kept
+		b.entries = kept
 	} else {
-		for _, old := range b.nodes {
+		for _, old := range b.entries {
 			if old.zone.Equal(n.zone) {
 				return false
 			}
 		}
 	}
-	b.nodes = append(b.nodes, n)
-	p.count++
-	p.bytes += n.memBytes()
+	p.insert(b, n)
 	return true
+}
+
+func (p *mapStore) insert(b *bucket[*node], n *node) {
+	b.share(n)
+	b.entries = append(b.entries, n)
+	p.count++
+	p.bytes += mapEntryBytes(n)
 }
 
 func (p *mapStore) stats() storeStats {
@@ -148,7 +194,7 @@ func (p *mapStore) discreteCount() int { return len(p.byKey) }
 // forEachNode implements the localStore checkpoint seam (see there).
 func (p *mapStore) forEachNode(fn func(n *node)) {
 	for _, k := range sortedKeys(p.byKey) {
-		for _, n := range p.byKey[k].nodes {
+		for _, n := range p.byKey[k].entries {
 			fn(n)
 		}
 	}
@@ -157,15 +203,7 @@ func (p *mapStore) forEachNode(fn func(n *node)) {
 // seed implements the localStore checkpoint seam: mapStore.add minus the
 // inclusion scans, with identical accounting.
 func (p *mapStore) seed(key []byte, n *node) {
-	b := p.byKey[string(key)]
-	if b == nil {
-		b = &zoneBucket{}
-		p.byKey[string(key)] = b
-		p.bytes += int64(len(key)) + bucketOverhead
-	}
-	b.nodes = append(b.nodes, n)
-	p.count++
-	p.bytes += n.memBytes()
+	p.insert(bucketOf(p.byKey, key, n, &p.bytes), n)
 }
 
 func (p *mapStore) setEvictions(v int64) { p.evictions = v }
@@ -191,8 +229,12 @@ func sortedKeys[B any](m map[string]B) []string {
 // exactly those of mapStore — IncludesDBM and SubsetOf are exact inclusion
 // tests in both directions — so a search over a compactStore visits states
 // in the identical order and finds the identical trace.
+//
+// Every entry keeps its node — that is PWList semantics, minus the zone
+// matrix: the node stays live for trace reconstruction and eviction
+// flagging, while its matrix lives only on the frontier briefly.
 type compactStore struct {
-	byKey       map[string]*compactBucket
+	byKey       map[string]*bucket[compactEntry]
 	inclusion   bool
 	count       int
 	bytes       int64
@@ -200,14 +242,6 @@ type compactStore struct {
 	constraints int64
 	red         dbm.Reducer // scratch-backed Minimal, one exact-size alloc per insert
 	dist        []dbm.Bound // SubsetOf shortest-path scratch, lazily sized
-}
-
-// compactBucket is the per-discrete-state antichain of compact zones.
-// Every entry keeps its node — that is PWList semantics, minus the zone
-// matrix: the node's discrete part stays live for trace reconstruction and
-// eviction flagging, while its matrix lives only on the frontier briefly.
-type compactBucket struct {
-	entries []compactEntry
 }
 
 type compactEntry struct {
@@ -219,7 +253,7 @@ type compactEntry struct {
 }
 
 func newCompactStore(inclusion bool) *compactStore {
-	return &compactStore{byKey: make(map[string]*compactBucket), inclusion: inclusion}
+	return &compactStore{byKey: make(map[string]*bucket[compactEntry]), inclusion: inclusion}
 }
 
 // compactEntryOverhead is the accounted per-entry struct overhead.
@@ -237,12 +271,7 @@ const compactEntryOverhead = 24
 // stored edge of old (see Compact.RowMask for why no column analogue
 // exists) — so SubsetOf runs only when the masks allow a subset.
 func (p *compactStore) add(key []byte, n *node) bool {
-	b := p.byKey[string(key)]
-	if b == nil {
-		b = &compactBucket{}
-		p.byKey[string(key)] = b
-		p.bytes += int64(len(key)) + bucketOverhead
-	}
+	b := bucketOf(p.byKey, key, n, &p.bytes)
 	if p.inclusion {
 		if n.zone.ClocksNonNegative() {
 			for _, old := range b.entries {
@@ -251,6 +280,7 @@ func (p *compactStore) add(key []byte, n *node) bool {
 				}
 			}
 		}
+		b.share(n) // before the evictions, which may empty the bucket
 		cn := p.red.Minimal(n.zone)
 		newRows := cn.RowMask()
 		if dim := n.zone.Dim(); len(p.dist) < dim*dim {
@@ -263,7 +293,7 @@ func (p *compactStore) add(key []byte, n *node) bool {
 				// the atomic store is the release point after which the
 				// popping worker may recycle the node and its zone.
 				p.count--
-				p.bytes -= entryBytes(old)
+				p.bytes -= compactEntryBytes(old.z)
 				p.constraints -= int64(old.z.Len())
 				p.evictions++
 				old.n.subsumed.Store(true)
@@ -285,20 +315,21 @@ func (p *compactStore) add(key []byte, n *node) bool {
 	return true
 }
 
-// entryBytes is the accounted footprint of one compact entry: the minimal
-// constraints, entry overhead, and the node's discrete part. The zone
+// compactEntryBytes is the accounted footprint of one compact entry: the
+// minimal constraints, entry overhead, and the node struct. The zone
 // matrix is deliberately absent — it is released to the free-list while the
-// node waits and exists only transiently during expansion.
-func entryBytes(e compactEntry) int64 {
-	return int64(e.z.MemBytes()) + compactEntryOverhead + e.n.discreteBytes()
+// node waits and exists only transiently during expansion — and so is the
+// discrete part, which is its bucket's.
+func compactEntryBytes(z *dbm.Compact) int64 {
+	return int64(z.MemBytes()) + compactEntryOverhead + nodeOverhead
 }
 
-func (p *compactStore) insert(b *compactBucket, z *dbm.Compact, n *node) {
+func (p *compactStore) insert(b *bucket[compactEntry], z *dbm.Compact, n *node) {
+	b.share(n)
 	n.czone = z
-	e := compactEntry{z: z, n: n, rows: z.RowMask()}
-	b.entries = append(b.entries, e)
+	b.entries = append(b.entries, compactEntry{z: z, n: n, rows: z.RowMask()})
 	p.count++
-	p.bytes += entryBytes(e)
+	p.bytes += compactEntryBytes(z)
 	p.constraints += int64(z.Len())
 }
 
@@ -328,13 +359,7 @@ func (p *compactStore) forEachNode(fn func(n *node)) {
 // the reduction (the restored node already carries its minimal form in
 // node.czone) and the inclusion scans, with identical accounting.
 func (p *compactStore) seed(key []byte, n *node) {
-	b := p.byKey[string(key)]
-	if b == nil {
-		b = &compactBucket{}
-		p.byKey[string(key)] = b
-		p.bytes += int64(len(key)) + bucketOverhead
-	}
-	p.insert(b, n.czone, n)
+	p.insert(bucketOf(p.byKey, key, n, &p.bytes), n.czone, n)
 }
 
 func (p *compactStore) setEvictions(v int64) { p.evictions = v }

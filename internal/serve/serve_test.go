@@ -261,17 +261,53 @@ func TestCoalescingSingleExploration(t *testing.T) {
 	}
 }
 
+// awaitExplored blocks until job id's event stream reports a snapshot
+// with at least one explored state, so a search is known to be under way.
+// It fails the test if the stream ends first or timeout passes.
+func awaitExplored(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /v1/jobs/%s/events: %v", id, err)
+	}
+	defer resp.Body.Close()
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	event := ""
+	for scanner.Scan() {
+		line := scanner.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: ") && event == "snapshot":
+			var snap SnapshotJSON
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &snap); err != nil {
+				t.Fatalf("bad snapshot frame: %v", err)
+			}
+			if snap.StatesExplored > 0 {
+				return
+			}
+		case event == "done":
+			t.Fatalf("job %s settled before its search explored a state", id)
+		}
+	}
+	t.Fatalf("job %s: no snapshot with explored states within %v (%v)", id, timeout, scanner.Err())
+}
+
 // TestCancelPromptly is the acceptance criterion: a canceled job returns
 // AbortCanceled promptly (well before its 30s backstop timeout).
 func TestCancelPromptly(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1, SnapshotEvery: 10 * time.Millisecond})
 	code, jj := postJob(t, ts, submitBody(fischerSrc(8, 2), `{"search": "dfs"}`), false)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status = %d, want 202", code)
 	}
-	pollUntil(t, 5*time.Second, "job to start running", func() bool {
-		return getJob(t, ts, jj.ID).State == JobRunning
-	})
+	// Cancel only once the search has explored a state: a DELETE that
+	// lands earlier leaves no partial statistics to assert on below.
+	awaitExplored(t, ts, jj.ID, 10*time.Second)
 	start := time.Now()
 	code, canceled := cancelJob(t, ts, jj.ID)
 	if code != http.StatusOK {
