@@ -99,7 +99,7 @@ automaton P%[1]d {
 func runLoadGen(cfg loadGenConfig) error {
 	base := strings.TrimSuffix(cfg.url, "/")
 	// Fail fast if nothing is listening before spawning the client pool.
-	if resp, err := http.Get(base + "/healthz"); err != nil {
+	if resp, err := http.Get(base + "/v1/healthz"); err != nil {
 		return fmt.Errorf("server unreachable: %w", err)
 	} else {
 		resp.Body.Close()
@@ -203,7 +203,7 @@ func runLoadGen(cfg loadGenConfig) error {
 // server's admission control: a 429 backs off per Retry-After and retries.
 func postOnce(client *http.Client, base, body string, throttled *atomic.Int64) (cacheState string, err error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(base+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := client.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			return "", err
 		}

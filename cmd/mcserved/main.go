@@ -20,8 +20,7 @@
 //
 // GET /v1/jobs/{id}/events streams live progress as server-sent events;
 // /v1/status and the mcserve expvar (on /debug/vars with -pprof) expose
-// queue depth, cache hit rate, and per-worker state. The pre-/v1
-// unversioned routes remain as deprecated aliases. SIGINT/SIGTERM
+// queue depth, cache hit rate, and per-worker state. SIGINT/SIGTERM
 // triggers a graceful drain: admission stops, in-flight jobs finish
 // (or are canceled after -drain-timeout), final reports are flushed,
 // and the process exits 0.

@@ -1,9 +1,5 @@
 package mc
 
-import (
-	"fmt"
-)
-
 // bitTable is a 2-bits-per-state Holzmann supertrace table: a state is
 // considered visited when both of its independently hashed bits are set.
 // False positives prune reachable states (under-approximation); there are
@@ -15,12 +11,11 @@ type bitTable struct {
 	mask uint64
 }
 
-func newBitTable(hashBits int) (*bitTable, error) {
-	if hashBits < 8 || hashBits > 34 {
-		return nil, fmt.Errorf("mc: HashBits %d out of range [8,34]", hashBits)
-	}
+// newBitTable sizes the table to 2^hashBits bits; normalize has checked
+// the range.
+func newBitTable(hashBits int) *bitTable {
 	size := uint64(1) << hashBits
-	return &bitTable{bits: make([]uint64, size/64), mask: size - 1}, nil
+	return &bitTable{bits: make([]uint64, size/64), mask: size - 1}
 }
 
 // fnv1a computes FNV-1a with a seeded offset basis, giving cheap

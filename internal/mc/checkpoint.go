@@ -83,7 +83,7 @@ type checkpointer struct {
 	baseElapsed time.Duration // search time accumulated before the resume
 
 	// final marks the next write as a KeepFinal end-of-search snapshot; the
-	// search loops set it right before their completion-time save.
+	// run epilogue sets it right before its completion-time save.
 	final bool
 }
 
@@ -186,21 +186,12 @@ func (ck *checkpointer) load() (*snapshot.Checkpoint, error) {
 	return cp, nil
 }
 
-// checkpointStore is the store-side checkpoint seam: every retaining store
-// (mapStore, compactStore, and their sharded wrapper) implements it; the
-// bit table does not, and normalize rejects checkpointing for BSH.
-type checkpointStore interface {
-	forEachNode(fn func(n *node))
-	seed(key []byte, n *node)
-	setEvictions(v int64)
-}
-
 // captureState assembles a Checkpoint from a quiesced search: every store
 // entry in the store's deterministic order, the frontier in pop-structure
 // order, the ancestor chains both need for trace reconstruction, and the
 // cumulative counters. The caller owns identity stamping (see write).
 func captureState(store stateStore, frontNodes []*node, prios []int64, st snapshot.Stats) (*snapshot.Checkpoint, error) {
-	cs, ok := store.(checkpointStore)
+	cs, ok := store.(localStore)
 	if !ok {
 		return nil, fmt.Errorf("mc: store kind %T is not checkpointable", store)
 	}
@@ -308,25 +299,14 @@ type resumedState struct {
 // guaranteed agreement for well-formed files, so a mismatch here means
 // corruption that slipped past the structural checks.
 func seedFromCheckpoint(cp *snapshot.Checkpoint, store stateStore, compact bool) (*resumedState, error) {
-	cs, ok := store.(checkpointStore)
+	cs, ok := store.(localStore)
 	if !ok {
 		return nil, fmt.Errorf("mc: store kind %T is not checkpointable", store)
 	}
-	nodes := make([]*node, len(cp.Nodes))
-	for i := range nodes {
-		nodes[i] = &node{}
-	}
+	nodes := treeOf(cp)
 	for i := range cp.Nodes {
 		sn := &cp.Nodes[i]
 		n := nodes[i]
-		n.depth = int(sn.Depth)
-		n.via = Transition{
-			Chan: int(sn.Via[0]), A1: int(sn.Via[1]), E1: int(sn.Via[2]),
-			A2: int(sn.Via[3]), E2: int(sn.Via[4]),
-		}
-		if sn.Parent >= 0 {
-			n.parent = nodes[sn.Parent]
-		}
 		if sn.Subsumed {
 			n.subsumed.Store(true)
 		}
@@ -380,6 +360,28 @@ func seedFromCheckpoint(cp *snapshot.Checkpoint, store stateStore, compact bool)
 	return rs, nil
 }
 
+// treeOf rebuilds a checkpoint's search tree: one node per saved node,
+// with its depth, transition and parent link, but no state. Decode has
+// checked every index; a warm start also screens the chains' shape.
+func treeOf(cp *snapshot.Checkpoint) []*node {
+	nodes := make([]*node, len(cp.Nodes))
+	for i := range nodes {
+		nodes[i] = &node{}
+	}
+	for i, n := range nodes {
+		sn := &cp.Nodes[i]
+		n.depth = int(sn.Depth)
+		n.via = Transition{
+			Chan: int(sn.Via[0]), A1: int(sn.Via[1]), E1: int(sn.Via[2]),
+			A2: int(sn.Via[3]), E2: int(sn.Via[4]),
+		}
+		if sn.Parent >= 0 {
+			n.parent = nodes[sn.Parent]
+		}
+	}
+	return nodes
+}
+
 // resume loads, validates, and seeds a checkpoint, updating the
 // checkpointer's cumulative bookkeeping. It returns nil (fresh start) when
 // no checkpoint exists.
@@ -403,84 +405,17 @@ func (ck *checkpointer) resume(store stateStore) (*resumedState, error) {
 	return rs, nil
 }
 
-// frontierState exposes a frontier's contents in its exact pop-structure
-// order: FIFO front-to-back, LIFO bottom-to-top, and the BestTime heap as
-// its raw array alongside the priorities — restored verbatim, the heap
-// breaks ties identically to the uninterrupted run.
-func frontierState(f frontier) (nodes []*node, prios []int64) {
-	switch fr := f.(type) {
-	case *fifoFrontier:
-		return fr.q[fr.head:], nil
-	case *lifoFrontier:
-		return fr.q, nil
-	case *heapFrontier:
-		return fr.hp.nodes, fr.hp.prio
-	}
-	return nil, nil
-}
-
-// restoreFrontier is frontierState's inverse over a freshly built frontier.
-func restoreFrontier(f frontier, nodes []*node, prios []int64) {
-	switch fr := f.(type) {
-	case *fifoFrontier:
-		fr.q = nodes
-		fr.head = 0
-	case *lifoFrontier:
-		fr.q = nodes
-	case *heapFrontier:
-		fr.hp.nodes = nodes
-		if len(prios) != len(nodes) {
-			prios = make([]int64, len(nodes))
-		}
-		fr.hp.prio = prios
-	}
-}
-
-// applyStats seeds the sequential loop's counters from a checkpoint.
-// nAutomata sizes the profile slice so the loop's per-automaton increments
-// stay in bounds even against a short (older-model) profile vector.
-func applyStats(st *Stats, s snapshot.Stats, nAutomata int) {
-	st.StatesExplored = int(s.StatesExplored)
-	st.Transitions = int(s.Transitions)
-	st.Deadends = int(s.Deadends)
-	st.MaxDepth = int(s.MaxDepth)
-	st.PeakWaiting = int(s.PeakWaiting)
-	if len(s.ByAutomaton) > 0 {
-		n := len(s.ByAutomaton)
-		if nAutomata > n {
-			n = nAutomata
-		}
-		st.ByAutomaton = make([]int, n)
-		for i, v := range s.ByAutomaton {
-			st.ByAutomaton[i] = int(v)
-		}
-	}
-}
-
-// saveSeq captures and writes a sequential-search checkpoint at the
-// expansion-loop safe point.
-func (ck *checkpointer) saveSeq(store stateStore, front frontier, st *Stats, peakMem int64, elapsed time.Duration) error {
-	nodes, prios := frontierState(front)
-	ss := store.stats()
-	snapStats := snapshot.Stats{
-		StatesExplored:   int64(st.StatesExplored),
-		Transitions:      int64(st.Transitions),
-		Deadends:         int64(st.Deadends),
-		MaxDepth:         int64(st.MaxDepth),
-		PeakWaiting:      int64(st.PeakWaiting),
-		Evictions:        ss.evictions,
-		PeakMemBytes:     peakMem,
-		DurationNS:       int64(ck.baseElapsed + elapsed),
-		CheckpointWrites: int64(ck.writes),
-		CheckpointNS:     int64(ck.writeTime),
-	}
-	if len(st.ByAutomaton) > 0 {
-		snapStats.ByAutomaton = make([]int64, len(st.ByAutomaton))
-		for i, v := range st.ByAutomaton {
-			snapStats.ByAutomaton[i] = int64(v)
-		}
-	}
-	cp, err := captureState(store, nodes, prios, snapStats)
+// checkpoint captures and writes a checkpoint of the quiesced search: the
+// store, the frontier nodes in pop-structure order (prios only for the
+// BestTime heap), and the cumulative counters k.
+func (s *search) checkpoint(front []*node, prios []int64, k *counters) error {
+	ck := s.ck
+	st := k.snapshot()
+	st.Evictions = s.store.stats().evictions
+	st.DurationNS = int64(ck.baseElapsed + time.Since(s.start))
+	st.CheckpointWrites = int64(ck.writes)
+	st.CheckpointNS = int64(ck.writeTime)
+	cp, err := captureState(s.store, front, prios, st)
 	if err != nil {
 		return err
 	}
@@ -543,7 +478,7 @@ func (pc *parCheckpointer) workerExit() {
 func (pc *parCheckpointer) completeLocked() {
 	pc.ck.req.Store(false)
 	if !pc.ps.stop.Load() {
-		if err := pc.ps.saveParallel(pc.ck); err != nil && pc.saveErr == nil {
+		if err := pc.ps.save(); err != nil && pc.saveErr == nil {
 			pc.saveErr = err
 		}
 	}
@@ -557,93 +492,4 @@ func (pc *parCheckpointer) takeErr() error {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.saveErr
-}
-
-// saveParallel captures and writes a checkpoint of a quiesced parallel
-// search (all workers parked at the barrier, or joined after the run).
-// Frontier nodes are gathered deque by deque, head to tail; resuming
-// scatters them round-robin, so parallel resume preserves the verdict and
-// abort semantics rather than a specific traversal order — which parallel
-// runs never had.
-func (ps *parSearch) saveParallel(ck *checkpointer) error {
-	var frontNodes []*node
-	for i := range ps.deques {
-		d := &ps.deques[i]
-		d.mu.Lock()
-		frontNodes = append(frontNodes, d.q[d.head:]...)
-		d.mu.Unlock()
-	}
-	ss := ps.store.stats()
-	st := snapshot.Stats{
-		StatesExplored:   ps.explored.Load(),
-		PeakWaiting:      ps.peakWaiting.Load(),
-		Steals:           ps.steals.Load(),
-		Evictions:        ss.evictions,
-		DurationNS:       int64(ck.baseElapsed + time.Since(ps.start)),
-		CheckpointWrites: int64(ck.writes),
-		CheckpointNS:     int64(ck.writeTime),
-	}
-	peakStore := ss.bytes
-	for i := range ps.workers {
-		w := &ps.workers[i]
-		st.Transitions += int64(w.transitions)
-		st.Deadends += int64(w.deadends)
-		if int64(w.maxDepth) > st.MaxDepth {
-			st.MaxDepth = int64(w.maxDepth)
-		}
-		if w.peakStoreBytes > peakStore {
-			peakStore = w.peakStoreBytes
-		}
-		if w.byAutomaton != nil {
-			if st.ByAutomaton == nil {
-				st.ByAutomaton = make([]int64, len(ps.en.sys.Automata))
-			}
-			for ai, c := range w.byAutomaton {
-				st.ByAutomaton[ai] += int64(c)
-			}
-		}
-	}
-	st.PeakMemBytes = peakStore
-	cp, err := captureState(ps.store, frontNodes, nil, st)
-	if err != nil {
-		return err
-	}
-	return ck.write(cp)
-}
-
-// seedResumed scatters a restored frontier round-robin across the worker
-// deques (preserving relative order within each deque) and seeds the
-// shared counters cumulatively; per-worker scalar counters land on worker
-// 0, which only shifts the Profile attribution, not the totals.
-func (ps *parSearch) seedResumed(rs *resumedState) {
-	per := make([][]*node, len(ps.deques))
-	for i, n := range rs.frontier {
-		w := i % len(per)
-		per[w] = append(per[w], n)
-	}
-	for i, batch := range per {
-		if len(batch) > 0 {
-			ps.deques[i].pushBatch(batch)
-		}
-	}
-	total := int64(len(rs.frontier))
-	ps.pending.Store(total)
-	ps.waiting.Store(total)
-	ps.peakWaiting.Store(rs.stats.PeakWaiting)
-	updateMax(&ps.peakWaiting, total)
-	ps.explored.Store(rs.stats.StatesExplored)
-	ps.steals.Store(rs.stats.Steals)
-	w0 := &ps.workers[0]
-	w0.transitions = int(rs.stats.Transitions)
-	w0.deadends = int(rs.stats.Deadends)
-	w0.maxDepth = int(rs.stats.MaxDepth)
-	w0.peakStoreBytes = rs.stats.PeakMemBytes
-	if len(rs.stats.ByAutomaton) > 0 {
-		w0.byAutomaton = make([]int, len(ps.en.sys.Automata))
-		for i, v := range rs.stats.ByAutomaton {
-			if i < len(w0.byAutomaton) {
-				w0.byAutomaton[i] = int(v)
-			}
-		}
-	}
 }

@@ -117,7 +117,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 // TestCheckpointParallelResume does the same interrupt/resume cycle with
 // four workers; the parallel engine promises verdict agreement (traces
-// and per-worker counters are scheduling-dependent).
+// and per-worker counters are scheduling-dependent). The search is
+// exhaustive, so it also ends with the reference's antichain: an abort
+// must leave every stored node either expanded or on a saved deque, or
+// the resumed run never generates the lost node's successors.
 func TestCheckpointParallelResume(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
@@ -164,6 +167,10 @@ func TestCheckpointParallelResume(t *testing.T) {
 				}
 				if res2.Found != ref.Found {
 					t.Fatalf("resumed verdict %v, reference %v", res2.Found, ref.Found)
+				}
+				if res2.Stats.StatesStored != ref.Stats.StatesStored || res2.Stats.DiscreteStates != ref.Stats.DiscreteStates {
+					t.Fatalf("resumed run stored %d states (%d discrete), reference %d (%d)",
+						res2.Stats.StatesStored, res2.Stats.DiscreteStates, ref.Stats.StatesStored, ref.Stats.DiscreteStates)
 				}
 				if res2.Stats.StatesExplored < res1.Stats.StatesExplored {
 					t.Fatalf("cumulative explored went backwards: %d after resume, %d at abort",

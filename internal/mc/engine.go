@@ -280,16 +280,21 @@ func (en *engine) computeActiveSets() {
 	}
 }
 
-// cloneZone returns a copy of src, recycling a free-listed DBM when one is
-// available and carving a fresh one out of the worker's arena otherwise.
-func (c *engineCtx) cloneZone(src *dbm.DBM) *dbm.DBM {
-	var z *dbm.DBM
+// takeZone returns a matrix to overwrite, recycling a free-listed DBM when
+// one is available and carving a fresh one out of the worker's arena
+// otherwise.
+func (c *engineCtx) takeZone() *dbm.DBM {
 	if k := len(c.freeZones); k > 0 {
-		z = c.freeZones[k-1]
+		z := c.freeZones[k-1]
 		c.freeZones = c.freeZones[:k-1]
-	} else {
-		z = c.arena.Get()
+		return z
 	}
+	return c.arena.Get()
+}
+
+// cloneZone returns a copy of src in a taken matrix.
+func (c *engineCtx) cloneZone(src *dbm.DBM) *dbm.DBM {
+	z := c.takeZone()
 	z.CopyFrom(src)
 	return z
 }
@@ -303,19 +308,13 @@ func (c *engineCtx) freeZone(z *dbm.DBM) {
 	}
 }
 
-// inflateZone reconstructs a full DBM from its minimal-constraint form,
-// recycling a free-listed matrix when one is available. The result is
-// exactly the zone that was released (Minimal/Inflate round-trip identity),
-// so searches that park waiting nodes without their matrices behave
-// bit-identically to ones that keep them.
+// inflateZone reconstructs a full DBM from its minimal-constraint form in
+// a taken matrix. The result is exactly the zone that was released
+// (Minimal/Inflate round-trip identity), so searches that park waiting
+// nodes without their matrices behave bit-identically to ones that keep
+// them.
 func (c *engineCtx) inflateZone(cz *dbm.Compact) *dbm.DBM {
-	var z *dbm.DBM
-	if k := len(c.freeZones); k > 0 {
-		z = c.freeZones[k-1]
-		c.freeZones = c.freeZones[:k-1]
-	} else {
-		z = c.arena.Get()
-	}
+	z := c.takeZone()
 	cz.InflateInto(z)
 	return z
 }

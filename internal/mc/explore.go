@@ -1,10 +1,10 @@
 package mc
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"guidedta/internal/expr"
@@ -21,9 +21,9 @@ func Explore(sys *ta.System, goal Goal, opts Options) (Result, error) {
 // ExploreContext is the engine's entry point: it runs symbolic
 // reachability analysis of goal on sys under ctx. The system is frozen if
 // it is not already. With Options.Workers > 1 and a BFS or DFS order, the
-// search runs in parallel (see exploreParallel); the answer and abort
-// semantics are identical to the sequential search, though which witness
-// trace is found may differ.
+// search runs in parallel (see parSearch); the answer and abort semantics
+// are identical to the sequential search, though which witness trace is
+// found may differ.
 //
 // Canceling ctx stops the search promptly (it is checked between state
 // expansions, sequential and parallel) and returns a Result with
@@ -42,11 +42,7 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	// propagates. The parallel search does the same per worker.
 	defer func() {
 		if r := recover(); r != nil {
-			re, ok := r.(*expr.RuntimeError)
-			if !ok {
-				panic(r)
-			}
-			err = fmt.Errorf("mc: evaluating model expression: %w", re)
+			err = evalError(r)
 		}
 	}()
 	if ctx == nil {
@@ -65,19 +61,7 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	if err != nil {
 		return Result{}, err
 	}
-	// normalize has already rejected unknown orders and a BestTime search
-	// without its time clock, so only the sequential/parallel split remains.
-	// Warm-started searches always run sequentially: seeding and replay
-	// validation live in the sequential loop, and quietly serializing here —
-	// rather than canonicalizing Workers in normalize — keeps the canonical
-	// options JSON (and with it checkpoint/cache identity) independent of
-	// the process-local WarmStart field.
-	if opts.Workers > 1 && !opts.WarmStart.enabled() && (opts.Search == BFS || opts.Search == DFS) {
-		res, err = exploreParallel(en, goal)
-	} else {
-		res, err = exploreSeq(en, goal)
-	}
-	if err != nil {
+	if res, err = en.explore(goal); err != nil {
 		return res, err
 	}
 	if en.obs != nil {
@@ -86,278 +70,157 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	return res, nil
 }
 
-// waitingSlot is the accounted per-entry frontier overhead for nodes whose
-// bytes are already counted in the passed store (pointer plus slice
-// amortization).
-const waitingSlot = 16
+// evalError turns a recovered *expr.RuntimeError panic into the error the
+// search returns; any other panic is an engine bug and propagates.
+func evalError(r any) error {
+	re, ok := r.(*expr.RuntimeError)
+	if !ok {
+		panic(r)
+	}
+	return fmt.Errorf("mc: evaluating model expression: %w", re)
+}
 
-// exploreSeq is the sequential passed/waiting-list search, common to all
-// orders: the store (map antichain for BFS/DFS/BestTime, bit table for
-// BSH) and the frontier discipline are picked once and the loop is written
-// against their interfaces.
-func exploreSeq(en *engine, goal Goal) (Result, error) {
-	start := time.Now()
-	res := Result{}
-	st := &res.Stats
-	ctx := en.newCtx()
+// search is the state of one exploration that both loops share: what
+// the run prologue sets up (see explore) and every worker's kernel reads.
+// Each loop embeds it.
+type search struct {
+	en    *engine
+	goal  Goal
+	store stateStore
+	ck    *checkpointer // nil unless Options.Checkpoint
+	start time.Time
+	// w0 is the prologue's worker, which the loop runs as its first.
+	w0 worker
 
-	// Observability: with snapshots requested, the loop publishes its
-	// counters into the atomic instrumentation block after every expansion
-	// and a sampler goroutine turns them into Snapshots. With ins == nil
-	// (the default) every publication is skipped behind this one check.
-	var ins *instr
-	if en.wantSnapshot && en.opts.SnapshotEvery > 0 {
-		ins = newInstr(1)
-		smp := startSampler(en.obs, en.opts.SnapshotEvery, start, ins.snapshot)
+	// mu serializes the observer's per-state events, which are specified
+	// as serialized, and guards the parallel search's outcome.
+	mu sync.Mutex
+	// halt is raised once the parallel search has found a goal: from then
+	// on every kernel drops the successors it generates.
+	halt atomic.Bool
+}
+
+// searchLoop is what differs between the sequential and the parallel search:
+// how waiting nodes are queued and handed to the kernel, where a
+// checkpoint quiesces, and how the memory peak is measured.
+type searchLoop interface {
+	// shared returns the loop's embedded search.
+	shared() *search
+	// restore queues a resumed frontier as saved and takes over the
+	// checkpoint's cumulative counters.
+	restore(rs *resumedState)
+	// queue pushes fresh nodes, still holding their matrices: a warm
+	// seed's frontier, then the initial state.
+	queue(ns []*node)
+	// run searches until the frontier is exhausted, a goal is found, or a
+	// limit trips.
+	run() (found *node, abort AbortReason, err error)
+	// save writes a checkpoint of the quiesced search.
+	save() error
+	// report returns the counters and the memory figures, given the
+	// store's final stats.
+	report(ss storeStats) Stats
+	// snapshot reads a progress Snapshot for the sampler.
+	snapshot() Snapshot
+}
+
+// explore runs one search: the prologue (store, checkpointer, resume, warm
+// seed, initial offer) and the epilogue (store stats, warm-prefix replay,
+// trace, final checkpoint) are common to both orders of work; the loop
+// in between is the sequential one or, with Workers > 1 — normalize has
+// already kept BSH and BestTime at one — the parallel one.
+func (en *engine) explore(goal Goal) (res Result, err error) {
+	var d searchLoop
+	if en.opts.Workers > 1 {
+		d = newParSearch(en, goal)
+	} else {
+		d = newSeqSearch(en, goal)
+	}
+	s := d.shared()
+	w := &s.w0
+	// Observability: with snapshots requested, the loops publish their
+	// counters into an atomic instrumentation block after every expansion
+	// and a sampler goroutine turns them into Snapshots. Without (the
+	// default) every publication is skipped behind one nil check.
+	if en.sampling() {
+		smp := startSampler(en.obs, en.opts.SnapshotEvery, s.start, d.snapshot)
 		defer smp.stop()
 	}
 
-	init, err := ctx.initial()
+	c := w.c
+	init, err := c.initial()
 	if err != nil {
 		return res, err
 	}
 	if !goal.Deadlock && goal.Satisfied(init.locs, init.env) {
 		res.Found = true
-		res.Stats.Duration = time.Since(start)
+		res.Stats.Duration = time.Since(s.start)
 		return res, nil
 	}
-
-	var store stateStore
-	switch {
-	case en.opts.Search == BSH:
-		table, err := newBitTable(en.opts.HashBits)
-		if err != nil {
-			return res, err
-		}
-		store = &bitStore{table: table}
-	case en.opts.Compact:
-		store = newCompactStore(en.opts.Inclusion)
-	default:
-		store = newMapStore(en.opts.Inclusion)
-	}
-	front := newFrontier(en.opts)
-
-	// Memory accounting: nodes retained by the store are counted there
-	// exactly once, and waiting entries add only slot overhead; with the
-	// bit table the store holds no nodes, so the frontier carries the full
-	// node bytes (and gets them back on pop).
-	retained := store.retainsNodes()
-	waitingCost := func(n *node) int64 {
-		if retained {
-			return waitingSlot
-		}
-		return n.memBytes()
-	}
-
-	ck, err := newCheckpointer(&en.opts)
-	if err != nil {
+	if s.ck, err = newCheckpointer(&en.opts); err != nil {
 		return res, err
 	}
-	var waitingBytes int64
-	var peakMem int64
-	resumed := false
-	if ck != nil {
-		rs, err := ck.resume(store)
-		if err != nil {
+	var rs *resumedState
+	if s.ck != nil {
+		if rs, err = s.ck.resume(s.store); err != nil {
 			return res, err
 		}
-		if rs != nil {
-			// Continue where the checkpoint left off: the store is seeded in
-			// its exact saved order, the frontier restored in pop order, and
-			// the counters are cumulative across the interrupted runs — the
-			// rest of the loop proceeds bit-identically to a run that was
-			// never stopped. Checkpointable stores all retain their nodes, so
-			// waiting entries cost only the slot overhead.
-			res.Resumed = true
-			resumed = true
-			restoreFrontier(front, rs.frontier, rs.prios)
-			waitingBytes = int64(front.len()) * waitingSlot
-			applyStats(st, rs.stats, len(en.sys.Automata))
-			peakMem = rs.stats.PeakMemBytes
-		}
-		ck.startTicker()
-		defer ck.stopTicker()
+		s.ck.startTicker()
+		defer s.ck.stopTicker()
 	}
 	var found *node
 	var warm *warmState
-	if !resumed && en.opts.WarmStart.enabled() {
-		// Warm start: seed the store from another model's checkpoint (every
-		// state re-validated — see WarmStartOptions), push the seed's
-		// surviving frontier, and try the seeded goal states as instant
-		// witnesses via full replay on this model.
-		if warm = warmSeed(ctx, store, goal); warm != nil {
-			res.WarmStarted = true
-			st.WarmSeeded = len(warm.seeded)
-			st.WarmDropped = warm.dropped
-			for _, n := range warm.frontier {
-				front.push(n)
-				waitingBytes += waitingCost(n)
-				if n.czone != nil {
-					ctx.releaseNode(n)
-				}
-			}
-			for i, g := range warm.goals {
-				if i >= warmReplayCap {
-					break
-				}
-				if rep := ctx.replayTrace(traceOf(g), goal); rep != nil {
-					found = rep
-					break
+	if rs != nil {
+		// Continue where the checkpoint left off: the store is seeded in
+		// its exact saved order, the frontier restored in pop order, and
+		// the counters are cumulative across the interrupted runs — a
+		// sequential search proceeds bit-identically to a run that was
+		// never stopped.
+		res.Resumed = true
+		d.restore(rs)
+	} else {
+		if en.opts.WarmStart.enabled() {
+			// Warm start: seed the store from another model's checkpoint
+			// (every state re-validated — see WarmStartOptions), queue the
+			// seed's surviving frontier (parking its matrices for the
+			// replays to reuse), and try the seeded goal states as instant
+			// witnesses via full replay on this model.
+			if warm = warmSeed(c, s.store, goal); warm != nil {
+				res.WarmStarted = true
+				d.queue(warm.frontier)
+				for i, g := range warm.goals {
+					if i >= warmReplayCap {
+						break
+					}
+					if found = c.replayTrace(traceOf(g), goal); found != nil {
+						break
+					}
 				}
 			}
 		}
-	}
-	if !resumed {
-		if ctx.offer(store, ctx.stateKey(init), init) {
-			front.push(init)
-			waitingBytes += waitingCost(init)
-			if init.czone != nil {
-				// The compact store holds the exact zone; waiting nodes travel
-				// without their O(n²) matrix.
-				ctx.releaseNode(init)
-			}
+		if c.offer(s.store, c.stateKey(init), init) {
+			// Borrow the kernel's successor buffer, which the first
+			// expansion would allocate anyway: the loops copy what they
+			// queue.
+			w.succ = append(w.succ[:0], init)
+			d.queue(w.succ)
 		} else {
 			// Only possible under a warm start: a seeded state already
 			// subsumes the initial state, so its (old-model) expansion
 			// stands in for init's — the pruning the warm start exists for,
 			// and the reason warm negatives are advisory.
-			ctx.recycleNode(init)
+			c.recycleNode(init)
+		}
+	}
+	if found == nil {
+		if found, res.Abort, err = d.run(); err != nil {
+			return res, err
 		}
 	}
 
-	// The plant's priority heuristic (Observer/Prioritizer) orders
-	// successor exploration; BSH keeps its historical yield order
-	// (priorities were never applied to the supertrace search and
-	// reordering would change which states its lossy table prunes).
-	usePriority := en.prio != nil && en.opts.Search != BSH
-
-	var succBuf []*node
-	for front.len() > 0 && found == nil {
-		ss := store.stats()
-		mem := ss.bytes + waitingBytes
-		if mem > peakMem {
-			peakMem = mem
-		}
-		if ck != nil && ck.req.Load() {
-			// Periodic snapshot at the loop's safe point: every frontier node
-			// is store-added, compact-parked nodes carry their minimal form,
-			// and ancestors need only their trace links.
-			ck.req.Store(false)
-			if err := ck.saveSeq(store, front, st, peakMem, time.Since(start)); err != nil {
-				return res, err
-			}
-		}
-		if reason := en.checkLimits(st, mem); reason != AbortNone {
-			res.Abort = reason
-			if ck != nil {
-				// Abort-time durability: timeouts, cancellations (a serve
-				// drain), and state/memory cutoffs leave a resumable file.
-				if err := ck.saveSeq(store, front, st, peakMem, time.Since(start)); err != nil {
-					return res, err
-				}
-			}
-			break
-		}
-		n := front.pop()
-		waitingBytes -= waitingCost(n)
-		if n.subsumed.Load() {
-			// A larger zone took over this discrete state; the store has
-			// already dropped the node and it was never expanded, so both
-			// the zone and the struct are free to recycle.
-			ctx.recycleNode(n)
-			continue
-		}
-		if n.zone == nil && n.czone != nil {
-			// Compact store: the matrix was released when n was parked on the
-			// frontier; rebuild it (exactly) for expansion.
-			n.zone = ctx.inflateZone(n.czone)
-		}
-		st.StatesExplored++
-		if n.depth > st.MaxDepth {
-			st.MaxDepth = n.depth
-		}
-		if en.wantVisit {
-			en.obs.StateVisited(StateVisit{Locs: n.locs, Env: n.env, Depth: n.depth})
-		}
-		hadSucc := false
-		succBuf = succBuf[:0]
-		ctx.successors(n, func(s *node) {
-			hadSucc = true
-			st.Transitions++
-			if en.opts.Profile {
-				if st.ByAutomaton == nil {
-					st.ByAutomaton = make([]int, len(en.sys.Automata))
-				}
-				st.ByAutomaton[s.via.A1]++
-			}
-			if found != nil {
-				ctx.recycleNode(s)
-				return
-			}
-			if !ctx.offer(store, ctx.stateKey(s), s) {
-				ctx.recycleNode(s)
-				return
-			}
-			if !goal.Deadlock && goal.Satisfied(s.locs, s.env) {
-				found = s
-				return
-			}
-			succBuf = append(succBuf, s)
-		})
-		if usePriority && len(succBuf) > 1 {
-			// Order so that higher-priority transitions are explored
-			// first: DFS pops the last push, BFS the first.
-			prio := en.prio
-			if en.opts.Search == DFS {
-				slices.SortStableFunc(succBuf, func(a, b *node) int {
-					return cmp.Compare(prio(a.via), prio(b.via))
-				})
-			} else {
-				slices.SortStableFunc(succBuf, func(a, b *node) int {
-					return cmp.Compare(prio(b.via), prio(a.via))
-				})
-			}
-		}
-		for _, s := range succBuf {
-			waitingBytes += waitingCost(s)
-			front.push(s)
-			if s.czone != nil {
-				// Park the successor without its matrix (BestTime has taken
-				// its heap priority from the zone during push above).
-				ctx.releaseNode(s)
-			}
-		}
-		if w := front.len(); w > st.PeakWaiting {
-			st.PeakWaiting = w
-		}
-		if !hadSucc {
-			st.Deadends++
-			if en.wantDeadend {
-				en.obs.Deadend(StateVisit{Locs: n.locs, Env: n.env, Depth: n.depth})
-			}
-			if goal.Deadlock && goal.Satisfied(n.locs, n.env) {
-				found = n
-			}
-		}
-		// n has been expanded: if the store can reconstruct its zone (compact
-		// form) or never references it (bit table), the matrix is recyclable.
-		if n.czone != nil || !retained {
-			ctx.releaseNode(n)
-		}
-		if ins != nil {
-			ins.explored.Store(int64(st.StatesExplored))
-			ins.transitions.Store(int64(st.Transitions))
-			ins.waiting.Store(int64(front.len()))
-			ins.peakWaiting.Store(int64(st.PeakWaiting))
-			ins.maxDepth.Store(int64(st.MaxDepth))
-			ins.deadends.Store(int64(st.Deadends))
-			ins.stored.Store(int64(ss.count))
-			ins.storeBytes.Store(ss.bytes)
-			ins.memBytes.Store(mem)
-		}
-	}
-
-	ss := store.stats()
+	ss := s.store.stats()
+	res.Stats = d.report(ss)
+	st := &res.Stats
 	st.StatesStored = ss.count
 	st.DiscreteStates = ss.discrete
 	st.Evictions = ss.evictions
@@ -365,34 +228,38 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 	if ss.constraints > 0 && ss.count > 0 {
 		st.AvgZoneConstraints = float64(ss.constraints) / float64(ss.count)
 	}
-	st.MemBytes = ss.bytes + waitingBytes
-	if peakMem > st.MemBytes {
-		st.MemBytes = peakMem
-	}
-	st.Duration = time.Since(start)
-	if found != nil && warm != nil && !warm.isFresh(found) {
-		// The witness runs through a seeded (foreign-model) prefix: its
-		// ancestors' zones were inherited, not derived on this model, so the
-		// trace must be re-derived by replay before it can be reported. A
-		// replay failure means the seed lied about reachability — surface it
-		// as ErrWarmStart so callers can rerun cold.
-		rep := ctx.replayTrace(traceOf(found), goal)
-		if rep == nil {
-			return res, fmt.Errorf("%w (seeded prefix of length %d)", ErrWarmStart, found.depth)
+	st.Duration = time.Since(s.start)
+	if warm != nil {
+		st.WarmSeeded = len(warm.seeded)
+		st.WarmDropped = warm.dropped
+		if found != nil && !warm.isFresh(found) {
+			// The witness runs through a seeded (foreign-model) prefix: its
+			// ancestors' zones were inherited, not derived on this model, so
+			// the trace must be re-derived by replay before it can be
+			// reported. A replay failure means the seed lied about
+			// reachability — surface it as ErrWarmStart so callers can rerun
+			// cold.
+			rep := c.replayTrace(traceOf(found), goal)
+			if rep == nil {
+				return res, fmt.Errorf("%w (seeded prefix of length %d)", ErrWarmStart, found.depth)
+			}
+			found = rep
 		}
-		found = rep
 	}
 	if found != nil {
 		res.Found = true
 		res.Trace = traceOf(found)
 	}
-	if ck != nil {
-		if res.Abort == AbortNone && en.opts.Checkpoint.KeepFinal {
-			// Stamp the snapshot as Final and persist it: useless for resume
-			// (load refuses Final files) but exactly what a later warm start
-			// of a nearby model wants to seed from.
-			ck.final = true
-			if err := ck.saveSeq(store, front, st, peakMem, time.Since(start)); err != nil {
+	if ck := s.ck; ck != nil {
+		if res.Abort != AbortNone || en.opts.Checkpoint.KeepFinal {
+			// Abort-time durability: timeouts, cancellations (a serve
+			// drain), and state/memory cutoffs leave a resumable file. A
+			// completed search with KeepFinal instead stamps its snapshot
+			// Final: useless for resume (load refuses Final files) but
+			// exactly what a later warm start of a nearby model wants to
+			// seed from.
+			ck.final = res.Abort == AbortNone
+			if err := d.save(); err != nil {
 				return res, err
 			}
 		}
@@ -406,23 +273,153 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 	return res, nil
 }
 
-// checkLimits enforces the cancellation and state/memory cutoffs between
-// expansions (timeouts arrive through the context; see ExploreContext).
-func (en *engine) checkLimits(st *Stats, mem int64) AbortReason {
-	select {
-	case <-en.done:
-		return ctxAbort(en.ctx)
+// init starts the clock of a new loop's embedded search and sets up the
+// passed store — the bit table for BSH, otherwise the antichain store in
+// full or compact zone form, striped across shards for the parallel
+// search — and worker 0.
+func (s *search) init(en *engine, goal Goal) {
+	s.en, s.goal, s.start = en, goal, time.Now()
+	local := func() localStore {
+		if en.opts.Compact {
+			return newCompactStore(en.opts.Inclusion)
+		}
+		return newMapStore(en.opts.Inclusion)
+	}
+	switch {
+	case en.opts.Search == BSH:
+		s.store = &bitStore{table: newBitTable(en.opts.HashBits)}
+	case en.opts.Workers > 1:
+		s.store = newShardedStore(local)
 	default:
+		s.store = local()
 	}
-	if en.opts.MaxStates > 0 && st.StatesExplored >= en.opts.MaxStates {
-		return AbortStates
-	}
-	if en.opts.MaxMemory > 0 && mem > en.opts.MaxMemory {
-		st.MemBytes = mem
-		return AbortMemory
-	}
-	return AbortNone
+	s.w0 = s.newWorker(0)
 }
+
+func (s *search) shared() *search { return s }
+
+// sampling reports whether the observer asked for periodic snapshots.
+func (en *engine) sampling() bool {
+	return en.wantSnapshot && en.opts.SnapshotEvery > 0
+}
+
+func (s *search) newWorker(id int) worker {
+	return worker{c: s.en.newCtx(), s: s, id: id, retained: s.store.retainsNodes()}
+}
+
+// waitingSlot is the accounted per-entry frontier overhead for nodes whose
+// bytes are already counted in the passed store (pointer plus slice
+// amortization).
+const waitingSlot = 16
+
+// seqSearch is the sequential loop, common to all orders: one worker
+// around a deterministic frontier (FIFO, LIFO, or the BestTime heap),
+// checkpointed at the top of its loop.
+type seqSearch struct {
+	search
+	front frontier
+	ins   *instr
+	// waitingBytes is the frontier's share of the accounted memory: nodes
+	// retained by the store are counted there exactly once, and waiting
+	// entries add only slot overhead; with the bit table the store holds
+	// no nodes, so the frontier carries the full node bytes (and gets them
+	// back on pop).
+	waitingBytes int64
+}
+
+func newSeqSearch(en *engine, goal Goal) *seqSearch {
+	q := &seqSearch{front: newFrontier(en.opts)}
+	q.init(en, goal)
+	if en.sampling() {
+		q.ins = newInstr(1)
+	}
+	return q
+}
+
+func (q *seqSearch) waitingCost(n *node) int64 {
+	if q.w0.retained {
+		return waitingSlot
+	}
+	return n.memBytes()
+}
+
+// push queues n, then parks a compact-stored node without its matrix (the
+// BestTime heap takes its priority from the zone during the push).
+func (q *seqSearch) push(n *node) {
+	q.waitingBytes += q.waitingCost(n)
+	q.front.push(n)
+	if n.czone != nil {
+		q.w0.c.releaseNode(n)
+	}
+}
+
+func (q *seqSearch) queue(ns []*node) {
+	for _, n := range ns {
+		q.push(n)
+	}
+}
+
+// restore puts the frontier back in its saved pop-structure order;
+// checkpointable stores all retain their nodes, so waiting entries cost
+// only the slot overhead.
+func (q *seqSearch) restore(rs *resumedState) {
+	q.front.restore(rs.frontier, rs.prios)
+	q.waitingBytes = int64(q.front.len()) * waitingSlot
+	q.w0.counters = countersOf(rs.stats, len(q.en.sys.Automata))
+}
+
+func (q *seqSearch) run() (*node, AbortReason, error) {
+	w, front, ck := &q.w0, q.front, q.ck
+	for front.len() > 0 {
+		ss := q.store.stats()
+		mem := ss.bytes + q.waitingBytes
+		w.peakMem = max(w.peakMem, mem)
+		if ck != nil && ck.req.Load() {
+			// Periodic snapshot at the loop's safe point: every frontier node
+			// is store-added, compact-parked nodes carry their minimal form,
+			// and ancestors need only their trace links.
+			ck.req.Store(false)
+			if err := q.save(); err != nil {
+				return nil, AbortNone, err
+			}
+		}
+		if reason := q.en.limit(w.explored, mem); reason != AbortNone {
+			return nil, reason, nil
+		}
+		n := front.pop()
+		q.waitingBytes -= q.waitingCost(n)
+		succ, hit, _ := w.expand(n)
+		for _, x := range succ {
+			q.push(x)
+		}
+		w.peakWaiting = max(w.peakWaiting, front.len())
+		if ins := q.ins; ins != nil {
+			ins.publish(0, &w.counters)
+			ins.waiting.Store(int64(front.len()))
+			ins.peakWaiting.Store(int64(w.peakWaiting))
+			ins.stored.Store(int64(ss.count))
+			ins.storeBytes.Store(ss.bytes)
+			ins.memBytes.Store(mem)
+		}
+		if hit != nil {
+			return hit, AbortNone, nil
+		}
+	}
+	return nil, AbortNone, nil
+}
+
+func (q *seqSearch) save() error {
+	nodes, prios := q.front.state()
+	return q.checkpoint(nodes, prios, &q.w0.counters)
+}
+
+func (q *seqSearch) report(ss storeStats) (st Stats) {
+	q.w0.report(&st)
+	st.MemBytes = max(ss.bytes+q.waitingBytes, q.w0.peakMem)
+	return st
+}
+
+func (q *seqSearch) snapshot() Snapshot { return q.ins.snapshot() }
 
 // traceOf walks parent pointers back to the initial state.
 func traceOf(n *node) []Transition {

@@ -13,6 +13,13 @@ type frontier interface {
 	push(n *node)
 	pop() *node // nil when empty
 	len() int
+	// state exposes the contents in exact pop-structure order for a
+	// checkpoint: FIFO front-to-back, LIFO bottom-to-top, and the BestTime
+	// heap as its raw array alongside the priorities — restored verbatim,
+	// the heap breaks ties identically to the uninterrupted run.
+	state() (nodes []*node, prios []int64)
+	// restore is state's inverse over a freshly built frontier.
+	restore(nodes []*node, prios []int64)
 }
 
 // newFrontier picks the discipline for a search order.
@@ -52,6 +59,9 @@ func (f *fifoFrontier) pop() *node {
 
 func (f *fifoFrontier) len() int { return len(f.q) - f.head }
 
+func (f *fifoFrontier) state() ([]*node, []int64)        { return f.q[f.head:], nil }
+func (f *fifoFrontier) restore(nodes []*node, _ []int64) { f.q, f.head = nodes, 0 }
+
 // lifoFrontier is the DFS stack.
 type lifoFrontier struct {
 	q []*node
@@ -71,6 +81,9 @@ func (f *lifoFrontier) pop() *node {
 
 func (f *lifoFrontier) len() int { return len(f.q) }
 
+func (f *lifoFrontier) state() ([]*node, []int64)        { return f.q, nil }
+func (f *lifoFrontier) restore(nodes []*node, _ []int64) { f.q = nodes }
+
 // heapFrontier is the BestTime min-heap on the lower bound of the
 // designated global time clock.
 type heapFrontier struct {
@@ -88,6 +101,15 @@ func (f *heapFrontier) pop() *node {
 }
 
 func (f *heapFrontier) len() int { return f.hp.Len() }
+
+func (f *heapFrontier) state() ([]*node, []int64) { return f.hp.nodes, f.hp.prio }
+
+func (f *heapFrontier) restore(nodes []*node, prios []int64) {
+	if len(prios) != len(nodes) {
+		prios = make([]int64, len(nodes))
+	}
+	f.hp.nodes, f.hp.prio = nodes, prios
+}
 
 // nodeHeap orders nodes by priority (min-heap) for BestTime search.
 type nodeHeap struct {

@@ -6,57 +6,61 @@ import (
 )
 
 // instr is the lock-light instrumentation core of the search loops: a
-// block of atomic counters the loops publish into and a sampling goroutine
-// reads from. It exists only while an Observer asked for snapshots
-// (Options.SnapshotEvery > 0) — with observability disabled the loops skip
-// every publication behind one nil check, so the instrumented build costs
-// an idle search nothing measurable.
+// block of atomic counters the loops publish into and a sampling
+// goroutine reads from. It exists only while an Observer asked for
+// snapshots (Options.SnapshotEvery > 0) — with observability disabled the
+// loops skip every publication behind one nil check, so the instrumented
+// build costs an idle search nothing measurable.
 type instr struct {
-	explored    atomic.Int64
-	transitions atomic.Int64
 	waiting     atomic.Int64
 	peakWaiting atomic.Int64
 	stored      atomic.Int64
 	storeBytes  atomic.Int64
 	memBytes    atomic.Int64
-	maxDepth    atomic.Int64
-	deadends    atomic.Int64
 	steals      atomic.Int64
-	// workers holds per-worker explored counts (parallel search only).
-	workers []atomic.Int64
+	// workers holds each worker's counters as it last published them.
+	workers []instrSlot
+}
+
+type instrSlot struct {
+	explored, transitions, deadends, maxDepth atomic.Int64
 }
 
 func newInstr(workers int) *instr {
-	ins := &instr{}
-	if workers > 1 {
-		ins.workers = make([]atomic.Int64, workers)
-	}
-	return ins
+	return &instr{workers: make([]instrSlot, workers)}
 }
 
-// noteDepth raises the max-depth watermark.
-func (i *instr) noteDepth(d int) {
-	updateMax(&i.maxDepth, int64(d))
+// publish stores worker id's counters after an expansion.
+func (i *instr) publish(id int, k *counters) {
+	sl := &i.workers[id]
+	sl.explored.Store(int64(k.explored))
+	sl.transitions.Store(int64(k.transitions))
+	sl.deadends.Store(int64(k.deadends))
+	sl.maxDepth.Store(int64(k.maxDepth))
 }
 
 // snapshot assembles a Snapshot from the current counter values.
 func (i *instr) snapshot() Snapshot {
 	s := Snapshot{
-		StatesExplored: int(i.explored.Load()),
-		Transitions:    int(i.transitions.Load()),
-		Waiting:        int(i.waiting.Load()),
-		PeakWaiting:    int(i.peakWaiting.Load()),
-		StatesStored:   int(i.stored.Load()),
-		StoreBytes:     i.storeBytes.Load(),
-		MemBytes:       i.memBytes.Load(),
-		MaxDepth:       int(i.maxDepth.Load()),
-		Deadends:       int(i.deadends.Load()),
-		Steals:         i.steals.Load(),
+		Waiting:      int(i.waiting.Load()),
+		PeakWaiting:  int(i.peakWaiting.Load()),
+		StatesStored: int(i.stored.Load()),
+		StoreBytes:   i.storeBytes.Load(),
+		MemBytes:     i.memBytes.Load(),
+		Steals:       i.steals.Load(),
 	}
-	if i.workers != nil {
+	if len(i.workers) > 1 {
 		s.WorkerExplored = make([]int, len(i.workers))
-		for w := range i.workers {
-			s.WorkerExplored[w] = int(i.workers[w].Load())
+	}
+	for w := range i.workers {
+		sl := &i.workers[w]
+		explored := int(sl.explored.Load())
+		s.StatesExplored += explored
+		s.Transitions += int(sl.transitions.Load())
+		s.Deadends += int(sl.deadends.Load())
+		s.MaxDepth = max(s.MaxDepth, int(sl.maxDepth.Load()))
+		if s.WorkerExplored != nil {
+			s.WorkerExplored[w] = explored
 		}
 	}
 	return s

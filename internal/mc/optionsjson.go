@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -64,12 +65,6 @@ type optionsWire struct {
 	TimeoutSeconds       *float64     `json:"timeout_seconds,omitempty"`
 	TimeClock            *int         `json:"time_clock,omitempty"`
 	TimeHorizon          *int32       `json:"time_horizon,omitempty"`
-
-	// Legacy aliases accepted on unmarshal only (the pre-/v1 serve schema);
-	// the canonical field wins when both are present.
-	NoInclusion    *bool  `json:"no_inclusion,omitempty"`
-	NoActiveClocks *bool  `json:"no_active_clocks,omitempty"`
-	MaxMemoryMB    *int64 `json:"max_memory_mb,omitempty"`
 }
 
 // MarshalJSON encodes the client-settable options canonically: every
@@ -101,21 +96,15 @@ func (o Options) MarshalJSON() ([]byte, error) {
 // absent fields keep their current values, so callers seed the receiver
 // with DefaultOptions (or a fully-resolved server default) and clients
 // override only what they set. This replaces the old tri-state request
-// structs — the receiver is the third state.
+// structs — the receiver is the third state. An unknown key is an error,
+// not a silent no-op: a misspelled or retired option (such as the pre-/v1
+// no_inclusion) would otherwise run the search with the default instead.
 func (o *Options) UnmarshalJSON(data []byte) error {
 	var w optionsWire
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return err
-	}
-	// Aliases first so canonical fields win when both appear.
-	if w.NoInclusion != nil {
-		o.Inclusion = !*w.NoInclusion
-	}
-	if w.NoActiveClocks != nil {
-		o.ActiveClocks = !*w.NoActiveClocks
-	}
-	if w.MaxMemoryMB != nil {
-		o.MaxMemory = *w.MaxMemoryMB << 20
 	}
 	if w.Search != nil {
 		o.Search = *w.Search

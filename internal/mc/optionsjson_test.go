@@ -3,6 +3,7 @@ package mc
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -56,25 +57,22 @@ func TestOptionsUnmarshalOverlays(t *testing.T) {
 	}
 }
 
+// TestOptionsUnmarshalLegacyAliases: the pre-/v1 aliases are gone, and
+// unknown keys are rejected rather than ignored — a client still sending
+// no_inclusion must not quietly get inclusion checking on.
 func TestOptionsUnmarshalLegacyAliases(t *testing.T) {
-	opts := DefaultOptions(DFS)
-	err := json.Unmarshal([]byte(`{"no_inclusion": true, "no_active_clocks": true, "max_memory_mb": 2}`), &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Inclusion || opts.ActiveClocks {
-		t.Errorf("legacy negated aliases not applied: %+v", opts)
-	}
-	if opts.MaxMemory != 2<<20 {
-		t.Errorf("max_memory_mb: MaxMemory = %d, want %d", opts.MaxMemory, 2<<20)
-	}
-	// Canonical field wins over its alias in one document.
-	opts = DefaultOptions(DFS)
-	if err := json.Unmarshal([]byte(`{"no_inclusion": true, "inclusion": true}`), &opts); err != nil {
-		t.Fatal(err)
-	}
-	if !opts.Inclusion {
-		t.Error("canonical inclusion field lost to its legacy alias")
+	for _, doc := range []string{
+		`{"no_inclusion": true}`,
+		`{"no_active_clocks": true}`,
+		`{"max_memory_mb": 2}`,
+		`{"inclusion": false, "no_inclusion": true}`,
+		`{"serach": "bfs"}`,
+	} {
+		opts := DefaultOptions(DFS)
+		err := json.Unmarshal([]byte(doc), &opts)
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", doc, err)
+		}
 	}
 }
 

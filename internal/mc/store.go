@@ -32,10 +32,13 @@ type stateStore interface {
 	retainsNodes() bool
 }
 
-// localStore is a single-threaded stateStore that shardedStore can stripe:
-// it exposes its byte and discrete-state counters so the wrapper can
-// maintain lock-free aggregates, plus the checkpoint seam — deterministic
-// iteration for saves and an unconditional seed path for resumes.
+// localStore is a stateStore that retains its nodes: mapStore and
+// compactStore, which the sequential search uses directly and shardedStore
+// stripes for the parallel one, and shardedStore itself. Besides the byte
+// and discrete-state counters (shardedStore keeps lock-free aggregates of
+// its shards') it is the checkpoint seam — deterministic iteration for
+// saves and an unconditional seed path for resumes. The bit table is not
+// one, so normalize rejects checkpointing for BSH.
 type localStore interface {
 	stateStore
 	byteCount() int64
@@ -80,20 +83,6 @@ type storeEntry interface {
 func (n *node) storedNode() *node        { return n }
 func (e compactEntry) storedNode() *node { return e.n }
 
-// bucketOf returns key's bucket, creating it on first sight of the
-// discrete state: the key string is interned, and the key and n's
-// discrete part, which becomes the one the bucket's nodes share, are
-// charged to *bytes here, once per bucket.
-func bucketOf[E storeEntry](m map[string]*bucket[E], key []byte, n *node, bytes *int64) *bucket[E] {
-	b := m[string(key)] // compiler-optimized: no key allocation
-	if b == nil {
-		b = &bucket[E]{}
-		m[string(key)] = b // interns the key string, once per discrete state
-		*bytes += int64(len(key)) + bucketOverhead + n.discreteBytes()
-	}
-	return b
-}
-
 // share points n, which is about to be inserted, at the discrete part the
 // bucket's stored nodes share; the first node of a bucket keeps its own,
 // and later nodes share that. Calling it again is harmless.
@@ -104,23 +93,84 @@ func (b *bucket[E]) share(n *node) {
 	}
 }
 
+// antichain is the bookkeeping mapStore and compactStore share: the
+// buckets by interned discrete key, the counters, and the localStore
+// methods that only read or restore them. The stores differ in the zone
+// form of their entries, so each keeps its own add (whose inclusion tests
+// stay monomorphic), insert and seed. Not safe for concurrent use;
+// shardedStore stripes it for the parallel search.
+type antichain[E storeEntry] struct {
+	byKey       map[string]*bucket[E]
+	inclusion   bool
+	count       int
+	bytes       int64
+	evictions   int64
+	constraints int64 // stored minimal constraints (compactStore only)
+}
+
+func newAntichain[E storeEntry](inclusion bool) antichain[E] {
+	return antichain[E]{byKey: make(map[string]*bucket[E]), inclusion: inclusion}
+}
+
+// bucketOf returns key's bucket, creating it on first sight of the
+// discrete state: the key string is interned, and the key and n's
+// discrete part, which becomes the one the bucket's nodes share, are
+// charged here, once per bucket.
+func (a *antichain[E]) bucketOf(key []byte, n *node) *bucket[E] {
+	b := a.byKey[string(key)] // compiler-optimized: no key allocation
+	if b == nil {
+		b = &bucket[E]{}
+		a.byKey[string(key)] = b // interns the key string, once per discrete state
+		a.bytes += int64(len(key)) + bucketOverhead + n.discreteBytes()
+	}
+	return b
+}
+
+func (a *antichain[E]) stats() storeStats {
+	return storeStats{
+		count: a.count, discrete: len(a.byKey), bytes: a.bytes,
+		evictions: a.evictions, constraints: a.constraints,
+	}
+}
+
+func (a *antichain[E]) retainsNodes() bool   { return true }
+func (a *antichain[E]) byteCount() int64     { return a.bytes }
+func (a *antichain[E]) discreteCount() int   { return len(a.byKey) }
+func (a *antichain[E]) setEvictions(v int64) { a.evictions = v }
+
+// forEachNode implements the localStore checkpoint seam (see there).
+// compactStore's nodes carry their minimal-constraint zones in node.czone.
+func (a *antichain[E]) forEachNode(fn func(n *node)) {
+	for _, k := range sortedKeys(a.byKey) {
+		for _, e := range a.byKey[k].entries {
+			fn(e.storedNode())
+		}
+	}
+}
+
+// sortedKeys returns the bucket keys of a store map in sorted order, the
+// deterministic iteration order of checkpoint saves.
+func sortedKeys[B any](m map[string]B) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // mapStore is the map-backed passed/waiting store (UPPAAL's PWList): per
 // discrete state, an antichain of maximal zones (with inclusion checking)
 // or a plain list (without). Nodes evicted by a subsuming newcomer are
 // flagged so the frontier drops them when they surface. Buckets are held by
 // pointer so the hot path does a single no-allocation map lookup and
-// mutates the bucket in place. Not safe for concurrent use; shardedStore
-// wraps it for the parallel search.
+// mutates the bucket in place.
 type mapStore struct {
-	byKey     map[string]*bucket[*node]
-	inclusion bool
-	count     int
-	bytes     int64
-	evictions int64
+	antichain[*node]
 }
 
 func newMapStore(inclusion bool) *mapStore {
-	return &mapStore{byKey: make(map[string]*bucket[*node]), inclusion: inclusion}
+	return &mapStore{newAntichain[*node](inclusion)}
 }
 
 // mapEntryBytes is the accounted footprint of one mapStore entry: the zone
@@ -141,7 +191,7 @@ func mapEntryBytes(n *node) int64 {
 // inclusion test entirely off the hot rejection path, where most candidates
 // die. compactStore.add relies on the same argument.
 func (p *mapStore) add(key []byte, n *node) bool {
-	b := bucketOf(p.byKey, key, n, &p.bytes)
+	b := p.bucketOf(key, n)
 	if p.inclusion {
 		for _, old := range b.entries {
 			if old.zone.Includes(n.zone) {
@@ -182,41 +232,10 @@ func (p *mapStore) insert(b *bucket[*node], n *node) {
 	p.bytes += mapEntryBytes(n)
 }
 
-func (p *mapStore) stats() storeStats {
-	return storeStats{count: p.count, discrete: len(p.byKey), bytes: p.bytes, evictions: p.evictions}
-}
-
-func (p *mapStore) retainsNodes() bool { return true }
-
-func (p *mapStore) byteCount() int64   { return p.bytes }
-func (p *mapStore) discreteCount() int { return len(p.byKey) }
-
-// forEachNode implements the localStore checkpoint seam (see there).
-func (p *mapStore) forEachNode(fn func(n *node)) {
-	for _, k := range sortedKeys(p.byKey) {
-		for _, n := range p.byKey[k].entries {
-			fn(n)
-		}
-	}
-}
-
 // seed implements the localStore checkpoint seam: mapStore.add minus the
 // inclusion scans, with identical accounting.
 func (p *mapStore) seed(key []byte, n *node) {
-	p.insert(bucketOf(p.byKey, key, n, &p.bytes), n)
-}
-
-func (p *mapStore) setEvictions(v int64) { p.evictions = v }
-
-// sortedKeys returns the bucket keys of a store map in sorted order, the
-// deterministic iteration order of checkpoint saves.
-func sortedKeys[B any](m map[string]B) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	p.insert(p.bucketOf(key, n), n)
 }
 
 // compactStore is the memory-lean variant of mapStore: passed zones are
@@ -234,14 +253,9 @@ func sortedKeys[B any](m map[string]B) []string {
 // matrix: the node stays live for trace reconstruction and eviction
 // flagging, while its matrix lives only on the frontier briefly.
 type compactStore struct {
-	byKey       map[string]*bucket[compactEntry]
-	inclusion   bool
-	count       int
-	bytes       int64
-	evictions   int64
-	constraints int64
-	red         dbm.Reducer // scratch-backed Minimal, one exact-size alloc per insert
-	dist        []dbm.Bound // SubsetOf shortest-path scratch, lazily sized
+	antichain[compactEntry]
+	red  dbm.Reducer // scratch-backed Minimal, one exact-size alloc per insert
+	dist []dbm.Bound // SubsetOf shortest-path scratch, lazily sized
 }
 
 type compactEntry struct {
@@ -253,7 +267,7 @@ type compactEntry struct {
 }
 
 func newCompactStore(inclusion bool) *compactStore {
-	return &compactStore{byKey: make(map[string]*bucket[compactEntry]), inclusion: inclusion}
+	return &compactStore{antichain: newAntichain[compactEntry](inclusion)}
 }
 
 // compactEntryOverhead is the accounted per-entry struct overhead.
@@ -271,7 +285,7 @@ const compactEntryOverhead = 24
 // stored edge of old (see Compact.RowMask for why no column analogue
 // exists) — so SubsetOf runs only when the masks allow a subset.
 func (p *compactStore) add(key []byte, n *node) bool {
-	b := bucketOf(p.byKey, key, n, &p.bytes)
+	b := p.bucketOf(key, n)
 	if p.inclusion {
 		if n.zone.ClocksNonNegative() {
 			for _, old := range b.entries {
@@ -333,36 +347,12 @@ func (p *compactStore) insert(b *bucket[compactEntry], z *dbm.Compact, n *node) 
 	p.constraints += int64(z.Len())
 }
 
-func (p *compactStore) stats() storeStats {
-	return storeStats{
-		count: p.count, discrete: len(p.byKey), bytes: p.bytes,
-		evictions: p.evictions, constraints: p.constraints,
-	}
-}
-
-func (p *compactStore) retainsNodes() bool { return true }
-
-func (p *compactStore) byteCount() int64   { return p.bytes }
-func (p *compactStore) discreteCount() int { return len(p.byKey) }
-
-// forEachNode implements the localStore checkpoint seam (see there). The
-// yielded nodes carry their minimal-constraint zones in node.czone.
-func (p *compactStore) forEachNode(fn func(n *node)) {
-	for _, k := range sortedKeys(p.byKey) {
-		for _, e := range p.byKey[k].entries {
-			fn(e.n)
-		}
-	}
-}
-
 // seed implements the localStore checkpoint seam: compactStore.add minus
 // the reduction (the restored node already carries its minimal form in
 // node.czone) and the inclusion scans, with identical accounting.
 func (p *compactStore) seed(key []byte, n *node) {
-	p.insert(bucketOf(p.byKey, key, n, &p.bytes), n.czone, n)
+	p.insert(p.bucketOf(key, n), n.czone, n)
 }
-
-func (p *compactStore) setEvictions(v int64) { p.evictions = v }
 
 // bitStore adapts the 2-bit Holzmann supertrace table to the stateStore
 // seam: only hashes are stored, so there is no inclusion checking and
@@ -455,9 +445,11 @@ func (s *shardedStore) stats() storeStats {
 
 func (s *shardedStore) retainsNodes() bool { return true }
 
-// memBytes returns the accounted byte total without locking any shard, for
-// the workers' periodic memory-limit checks.
-func (s *shardedStore) memBytes() int64 { return s.totalBytes.Load() }
+// byteCount returns the accounted byte total without locking any shard,
+// for the workers' memory-limit checks.
+func (s *shardedStore) byteCount() int64 { return s.totalBytes.Load() }
+
+func (s *shardedStore) discreteCount() int { return s.stats().discrete }
 
 // forEachNode visits every stored node, shards in index order and each
 // shard in its localStore's deterministic order. Callers must be quiesced

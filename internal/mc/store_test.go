@@ -23,7 +23,7 @@ func bucketArrays(store localStore) map[*int32]bool {
 }
 
 // TestBucketsShareDiscretePart drives an exhaustive Fischer-5 BFS the way
-// exploreSeq does — successors offered to the store, evicted nodes
+// the sequential loop does — successors offered to the store, evicted nodes
 // recycled when popped, compact nodes parked without their matrices —
 // over a store it can inspect. Fischer-5 evicts 2,418 of its stored
 // states, so recycling evicted nodes is exercised heavily. It checks both

@@ -42,9 +42,10 @@ import (
 // rerun cold — the serving layer does exactly that.
 //
 // Like Checkpoint, WarmStart is a process-local concern excluded from the
-// canonical options JSON. Warm-started searches run sequentially (the
-// sequential loop owns seeding and replay validation); the BSH order is
-// rejected because its bit table stores only hashes. A missing or
+// canonical options JSON. Seeding and replay validation belong to the run
+// prologue and epilogue both search loops share, so a warm start runs
+// sequentially or in parallel like a cold one; the BSH order is rejected
+// because its bit table stores only hashes. A missing or
 // unreadable seed file degrades to a cold search rather than an error —
 // warm starting is opportunistic.
 type WarmStartOptions struct {
@@ -160,42 +161,7 @@ func warmSeed(c *engineCtx, store stateStore, goal Goal) *warmState {
 		return chainState[i] == 1
 	}
 
-	// Lazy node reconstruction, parents before children (chains can be
-	// thousands deep under DFS — iterative, like captureState's indexer).
-	nodes := make([]*node, nn)
-	var bchain []int32
-	getNode := func(i int32) *node {
-		if nodes[i] != nil {
-			return nodes[i]
-		}
-		bchain = bchain[:0]
-		j := i
-		for nodes[j] == nil {
-			bchain = append(bchain, j)
-			p := cp.Nodes[j].Parent
-			if p < 0 {
-				break
-			}
-			j = p
-		}
-		for k := len(bchain) - 1; k >= 0; k-- {
-			ix := bchain[k]
-			sn := &cp.Nodes[ix]
-			n := &node{
-				depth: int(sn.Depth),
-				via: Transition{
-					Chan: int(sn.Via[0]), A1: int(sn.Via[1]), E1: int(sn.Via[2]),
-					A2: int(sn.Via[3]), E2: int(sn.Via[4]),
-				},
-			}
-			if sn.Parent >= 0 {
-				n.parent = nodes[sn.Parent]
-			}
-			nodes[ix] = n
-		}
-		return nodes[i]
-	}
-
+	nodes := treeOf(cp)
 	frontSet := make(map[int32]bool, len(cp.Frontier))
 	for _, fe := range cp.Frontier {
 		frontSet[fe.Node] = true
@@ -230,7 +196,7 @@ func warmSeed(c *engineCtx, store stateStore, goal Goal) *warmState {
 			w.dropped++
 			continue
 		}
-		n := getNode(ix)
+		n := nodes[ix]
 		if _, dup := w.seeded[n]; dup { // duplicate store index in the file
 			c.freeZone(z)
 			continue
@@ -273,7 +239,7 @@ func warmSeed(c *engineCtx, store stateStore, goal Goal) *warmState {
 	pushed := make(map[*node]bool, len(cp.Frontier))
 	for _, fe := range cp.Frontier {
 		n := nodes[fe.Node]
-		if n == nil || pushed[n] || n.subsumed.Load() {
+		if pushed[n] || n.subsumed.Load() {
 			continue
 		}
 		if _, ok := w.seeded[n]; !ok {

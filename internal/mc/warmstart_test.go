@@ -381,11 +381,10 @@ func TestWarmStartRejections(t *testing.T) {
 	})
 }
 
-// TestWarmStartParallelRunsSequential: a warm-started search with a worker
-// count still runs (the engine serializes it) and still benefits from the
-// seed — the canonical options keep the worker count, so cache identity is
-// shared with the parallel cold run.
-func TestWarmStartParallelRunsSequential(t *testing.T) {
+// TestWarmStartParallel: a warm-started search with a worker count runs
+// in parallel through the same seeding and replay validation as the
+// sequential one, and still benefits from the seed.
+func TestWarmStartParallel(t *testing.T) {
 	sys, goal := fischerKModel(t, 4, 2)
 	path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
 
@@ -401,4 +400,119 @@ func TestWarmStartParallelRunsSequential(t *testing.T) {
 		t.Fatalf("warm run with workers: WarmStarted=%v Found=%v", res.WarmStarted, res.Found)
 	}
 	checkTrace(t, sys, res)
+}
+
+// stateLimitSeed runs sys until maxStates states are explored and
+// returns the abort-time checkpoint: a seed whose frontier is non-empty,
+// so a warm start from it still has exploring to do.
+func stateLimitSeed(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Options, maxStates int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "seed.ckpt")
+	opts.MaxStates = maxStates
+	opts.Checkpoint = mc.CheckpointOptions{Path: path}
+	res, err := mc.Explore(sys, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Abort != mc.AbortStates || res.Found {
+		t.Fatalf("seeding run: abort=%q found=%v, want clean state-limit interrupt", res.Abort, res.Found)
+	}
+	return path
+}
+
+// TestWarmStartParallelSpreadsWork: the seed's frontier is scattered over
+// the worker deques, so under Profile at least two workers report
+// explored states.
+func TestWarmStartParallelSpreadsWork(t *testing.T) {
+	sys, goal := fischerModel(t, 5, true)
+	path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(mc.BFS), 1000)
+
+	sys, goal = fischerModel(t, 5, true)
+	opts := mc.DefaultOptions(mc.BFS)
+	opts.Workers = 4
+	opts.Profile = true
+	opts.WarmStart = mc.WarmStartOptions{Path: path}
+	res, err := mc.Explore(sys, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.WarmStarted {
+		t.Fatal("warm run did not report WarmStarted")
+	}
+	busy := 0
+	for _, n := range res.Stats.WorkerExplored {
+		if n > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("WorkerExplored = %v, want at least 2 workers exploring", res.Stats.WorkerExplored)
+	}
+}
+
+// TestWarmStartParallelNegative: an exhaustive parallel warm run of a safe
+// model reports WarmStarted with its (advisory) negative, and agrees with
+// a cold parallel run — verdict, and the final antichain: the seed holds
+// only this model's states, every one expanded or on its frontier.
+func TestWarmStartParallelNegative(t *testing.T) {
+	for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+		sys, goal := fischerModel(t, 5, true)
+		path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(order), 1500)
+
+		sys, goal = fischerModel(t, 5, true)
+		opts := mc.DefaultOptions(order)
+		opts.Workers = 4
+		cold, err := mc.Explore(sys, goal, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, goal = fischerModel(t, 5, true)
+		opts.WarmStart = mc.WarmStartOptions{Path: path}
+		warm, err := mc.Explore(sys, goal, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.WarmStarted || warm.Stats.WarmSeeded == 0 {
+			t.Fatalf("%v: WarmStarted=%v WarmSeeded=%d, want a seeded run", order, warm.WarmStarted, warm.Stats.WarmSeeded)
+		}
+		if warm.Found || cold.Found {
+			t.Fatalf("%v: safe fischer found: warm %v, cold %v", order, warm.Found, cold.Found)
+		}
+		if warm.Stats.StatesStored != cold.Stats.StatesStored || warm.Stats.DiscreteStates != cold.Stats.DiscreteStates {
+			t.Fatalf("%v: warm stored %d (%d discrete), cold %d (%d)", order,
+				warm.Stats.StatesStored, warm.Stats.DiscreteStates, cold.Stats.StatesStored, cold.Stats.DiscreteStates)
+		}
+	}
+}
+
+// TestWarmStartParallelReplayFailureErrs runs the two seeded-prefix
+// failures of the sequential tests — a stale-integer witness and a
+// deadlock the relaxed model does not have — with four workers: the run
+// must fail with ErrWarmStart, never return the trace.
+func TestWarmStartParallelReplayFailureErrs(t *testing.T) {
+	cases := []struct {
+		name       string
+		seed, warm func(testing.TB) (*ta.System, mc.Goal)
+	}{
+		{"stale-integer",
+			func(tb testing.TB) (*ta.System, mc.Goal) { return seqModel(tb, 1) },
+			func(tb testing.TB) (*ta.System, mc.Goal) { return seqModel(tb, 2) }},
+		{"relaxed-deadlock",
+			func(tb testing.TB) (*ta.System, mc.Goal) { return deadlineModel(tb, 3) },
+			func(tb testing.TB) (*ta.System, mc.Goal) { return deadlineModel(tb, 10) }},
+	}
+	for _, tc := range cases {
+		for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+			sys, goal := tc.seed(t)
+			path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(mc.BFS), 1)
+			sys, goal = tc.warm(t)
+			opts := mc.DefaultOptions(order)
+			opts.Workers = 4
+			opts.WarmStart = mc.WarmStartOptions{Path: path}
+			res, err := mc.Explore(sys, goal, opts)
+			if !errors.Is(err, mc.ErrWarmStart) {
+				t.Fatalf("%s %v: got err=%v found=%v trace=%v, want ErrWarmStart", tc.name, order, err, res.Found, res.Trace)
+			}
+		}
+	}
 }

@@ -2,9 +2,7 @@ package serve
 
 // apitypes.go is the complete typed wire schema of the /v1 HTTP API —
 // every request and response body in one place, so the JSON surface can
-// be read (and pinned by tests) without chasing handlers. The legacy
-// unversioned routes serve exactly these shapes; they differ only in the
-// Deprecation headers the router adds.
+// be read (and pinned by tests) without chasing handlers.
 
 import (
 	"encoding/json"
@@ -70,9 +68,8 @@ type ParamsRequest struct {
 // OptionsRequest carries the client's search options verbatim until
 // resolution overlays them onto the server defaults via the mc.Options
 // JSON contract: absent fields keep the defaults (the receiver is the
-// third state of the old per-field tri-states), and the legacy aliases
-// (no_inclusion, no_active_clocks, max_memory_mb) are still accepted.
-// See mc.Options.UnmarshalJSON for the field list.
+// third state of the old per-field tri-states), and an unknown key is a
+// 400. See mc.Options.UnmarshalJSON for the field list.
 type OptionsRequest struct {
 	raw json.RawMessage
 }

@@ -62,7 +62,7 @@ func TestDrainCancelsInFlight(t *testing.T) {
 		t.Errorf("POST during drain status = %d, want 503", code)
 	}
 	// ... and the health check reports it for load balancers.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

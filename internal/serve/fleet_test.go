@@ -123,21 +123,21 @@ func TestQueuePerTenantQuota(t *testing.T) {
 // postJobTenant is postJob with an X-Tenant header.
 func postJobTenant(t *testing.T, ts *httptest.Server, tenant, body string) (int, JobJSON, string) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
 		req.Header.Set("X-Tenant", tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST /jobs: %v", err)
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	var jj JobJSON
 	if resp.StatusCode < 400 {
 		if err := json.Unmarshal(data, &jj); err != nil {
-			t.Fatalf("POST /jobs: bad response %q: %v", data, err)
+			t.Fatalf("POST /v1/jobs: bad response %q: %v", data, err)
 		}
 	}
 	return resp.StatusCode, jj, string(data)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
 // admissionError is a client-visible rejection with its HTTP status.
@@ -50,11 +49,6 @@ const maxRequestBytes = 8 << 20
 //	GET    /v1/jobs/{id}/events  SSE stream: progress events, then `done`
 //	GET    /v1/status            queue/worker/cache health
 //	GET    /v1/healthz           liveness ("ok", or "draining" during drain)
-//
-// The original unversioned routes (POST /jobs, GET /status, ...) remain
-// mounted as thin aliases for pre-/v1 clients; they serve identical
-// bodies but answer with a `Deprecation: true` header and a `Link`
-// pointing at the successor /v1 route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -64,24 +58,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-
-	mux.HandleFunc("POST /jobs", deprecated(s.handleSubmit))
-	mux.HandleFunc("GET /jobs/{id}", deprecated(s.handleGet))
-	mux.HandleFunc("DELETE /jobs/{id}", deprecated(s.handleCancel))
-	mux.HandleFunc("GET /jobs/{id}/events", deprecated(s.handleEvents))
-	mux.HandleFunc("GET /status", deprecated(s.handleStatus))
-	mux.HandleFunc("GET /healthz", deprecated(s.handleHealthz))
 	return mux
-}
-
-// deprecated wraps a /v1 handler for its legacy unversioned alias: same
-// behaviour, plus the deprecation headers steering clients to /v1.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // StatusVar returns the live status as an expvar.Var, for callers that
@@ -125,8 +102,8 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 }
 
 // respondSubmitted finishes a submission response: optional ?wait=1
-// blocking, the version-matched Location of the job record, and the job
-// body with 202 (queued/running) or 200 (settled).
+// blocking, the Location of the job record, and the job body with 202
+// (queued/running) or 200 (settled).
 func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, job *Job) {
 	status := http.StatusAccepted
 	if r.URL.Query().Get("wait") != "" {
@@ -135,11 +112,7 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, job *J
 	} else if st, _ := job.snapshot(); st == JobDone {
 		status = http.StatusOK // cache hit: settled at admission
 	}
-	location := "/v1/jobs/" + job.ID
-	if !strings.HasPrefix(r.URL.Path, "/v1/") {
-		location = "/jobs/" + job.ID // legacy alias keeps legacy locations
-	}
-	w.Header().Set("Location", location)
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, status, jobJSON(job))
 }
 

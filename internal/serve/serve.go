@@ -9,8 +9,7 @@
 //     automatic guide discovery (internal/guide). Jobs are admitted
 //     through a bounded queue (429 + Retry-After when full) and run on a
 //     fixed worker pool with per-job deadlines; DELETE /v1/jobs/{id}
-//     cancels a job. The pre-/v1 unversioned routes remain as deprecated
-//     aliases.
+//     cancels a job.
 //   - Work is deduplicated through a content-addressed result cache keyed
 //     by the model's canonical sha256 plus the normalized options:
 //     concurrent identical queries coalesce onto one underlying

@@ -68,20 +68,20 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postJob(t *testing.T, ts *httptest.Server, body string, wait bool) (int, JobJSON) {
 	t.Helper()
-	url := ts.URL + "/jobs"
+	url := ts.URL + "/v1/jobs"
 	if wait {
 		url += "?wait=1"
 	}
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /jobs: %v", err)
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
 	var jj JobJSON
 	data, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode < 400 {
 		if err := json.Unmarshal(data, &jj); err != nil {
-			t.Fatalf("POST /jobs: bad response %q: %v", data, err)
+			t.Fatalf("POST /v1/jobs: bad response %q: %v", data, err)
 		}
 	}
 	return resp.StatusCode, jj
@@ -89,33 +89,33 @@ func postJob(t *testing.T, ts *httptest.Server, body string, wait bool) (int, Jo
 
 func getJob(t *testing.T, ts *httptest.Server, id string) JobJSON {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
-		t.Fatalf("GET /jobs/%s: %v", id, err)
+		t.Fatalf("GET /v1/jobs/%s: %v", id, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs/%s: status %d", id, resp.StatusCode)
+		t.Fatalf("GET /v1/jobs/%s: status %d", id, resp.StatusCode)
 	}
 	var jj JobJSON
 	if err := json.NewDecoder(resp.Body).Decode(&jj); err != nil {
-		t.Fatalf("GET /jobs/%s: %v", id, err)
+		t.Fatalf("GET /v1/jobs/%s: %v", id, err)
 	}
 	return jj
 }
 
 func cancelJob(t *testing.T, ts *httptest.Server, id string) (int, JobJSON) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("DELETE /jobs/%s: %v", id, err)
+		t.Fatalf("DELETE /v1/jobs/%s: %v", id, err)
 	}
 	defer resp.Body.Close()
 	var jj JobJSON
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&jj); err != nil {
-			t.Fatalf("DELETE /jobs/%s: %v", id, err)
+			t.Fatalf("DELETE /v1/jobs/%s: %v", id, err)
 		}
 	}
 	return resp.StatusCode, jj
@@ -394,7 +394,7 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 		t.Fatalf("second POST status = %d, want 202 (queued)", code)
 	}
 
-	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(submitBody(fischerSrc(8, 4), `{"search": "dfs"}`)))
 	if err != nil {
 		t.Fatalf("third POST: %v", err)
@@ -446,7 +446,7 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/jobs/j999999")
+	resp, err := http.Get(ts.URL + "/v1/jobs/j999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestSSEEventStream(t *testing.T) {
 	body := submitBody(fischerSrc(7, 2), `{"search": "bfs", "timeout_seconds": 0.7}`)
 	_, jj := postJob(t, ts, body, false)
 
-	resp, err := http.Get(ts.URL + "/jobs/" + jj.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jj.ID + "/events")
 	if err != nil {
 		t.Fatalf("GET events: %v", err)
 	}
@@ -515,7 +515,7 @@ func TestSSEEventStream(t *testing.T) {
 	}
 
 	// A settled job's stream yields the done event immediately.
-	resp2, err := http.Get(ts.URL + "/jobs/" + jj.ID + "/events")
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + jj.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestPlantSynthesisJob(t *testing.T) {
 func TestStatusEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 3, QueueDepth: 7})
 	postJob(t, ts, submitBody(fischerSrc(4, 2), `{"search": "bfs"}`), true)
-	resp, err := http.Get(ts.URL + "/status")
+	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Errorf("done jobs = %d, want 1", st.Jobs[JobDone])
 	}
 
-	healthz, err := http.Get(ts.URL + "/healthz")
+	healthz, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

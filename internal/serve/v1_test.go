@@ -31,10 +31,9 @@ func postV1(t *testing.T, ts *httptest.Server, path, body string) (*http.Respons
 	return resp, jj
 }
 
-// TestV1RoutesAndLegacyDeprecation: every route is mounted under /v1
-// without deprecation headers, and the unversioned aliases answer
-// identically but flag themselves deprecated with a successor link.
-func TestV1RoutesAndLegacyDeprecation(t *testing.T) {
+// TestV1RoutesLegacyRemoved: every route is mounted under /v1 without
+// deprecation headers, and the pre-/v1 unversioned routes are gone.
+func TestV1RoutesLegacyRemoved(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	for _, path := range []string{"/v1/healthz", "/v1/status"} {
@@ -50,25 +49,24 @@ func TestV1RoutesAndLegacyDeprecation(t *testing.T) {
 			t.Errorf("GET %s: carries a Deprecation header", path)
 		}
 	}
-	for path, successor := range map[string]string{
-		"/healthz": "/v1/healthz",
-		"/status":  "/v1/status",
-	} {
+	for _, path := range []string{"/healthz", "/status", "/jobs/j1", "/jobs/j1/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: no Deprecation header", path)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "<"+successor+">") ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s: Link = %q, want successor %s", path, link, successor)
-		}
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"model": %q}`, fischerSrc(2, 2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /jobs: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -116,11 +114,12 @@ func TestV1JobSchemaPinned(t *testing.T) {
 }
 
 // TestV1OptionsOverlay: the /v1 options object overlays server defaults
-// through the mc.Options JSON contract — canonical fields, tri-state
-// semantics, and the legacy aliases all decode.
+// through the mc.Options JSON contract — canonical fields and tri-state
+// semantics decode, and unknown keys (the removed pre-/v1 aliases among
+// them) are rejected.
 func TestV1OptionsOverlay(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	body := fmt.Sprintf(`{"model": %q, "options": {"search": "bfs", "no_inclusion": true, "compact": false, "max_states": 50000}}`,
+	body := fmt.Sprintf(`{"model": %q, "options": {"search": "bfs", "inclusion": false, "compact": false, "max_states": 50000}}`,
 		fischerSrc(2, 2))
 	resp, jj := postV1(t, ts, "/v1/jobs?wait=1", body)
 	if resp.StatusCode != http.StatusOK {
@@ -141,6 +140,11 @@ func TestV1OptionsOverlay(t *testing.T) {
 	resp3, _ := postV1(t, ts, "/v1/jobs", fmt.Sprintf(`{"model": %q, "options": {"timeout_seconds": -3}}`, fischerSrc(2, 2)))
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative timeout: status %d, want 400", resp3.StatusCode)
+	}
+	// A removed alias must not be ignored: inclusion would silently stay on.
+	resp4, _ := postV1(t, ts, "/v1/jobs", fmt.Sprintf(`{"model": %q, "options": {"no_inclusion": true}}`, fischerSrc(2, 2)))
+	if resp4.StatusCode != http.StatusBadRequest {
+		t.Errorf("legacy no_inclusion: status %d, want 400", resp4.StatusCode)
 	}
 }
 
