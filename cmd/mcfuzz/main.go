@@ -15,8 +15,9 @@
 //
 // A campaign is deterministic per -seed. With -plant the end-to-end sweep
 // (synth → rcx → sim across guide levels, batch counts, link loss, comm
-// delay, and battery-worn timing) runs too. Exit status 1 when any
-// problem was found, 0 on a clean campaign.
+// delay, and battery-worn timing) runs too. Built with -tags dbmcheck,
+// every partial close of the DBM library is also checked against a full
+// Close. Exit status 1 when any problem was found, 0 on a clean campaign.
 package main
 
 import (

@@ -57,7 +57,7 @@ func benchSparse() []sparseBench {
 		p.freed = freedZone(rng, benchSparseN)
 		p.lower, p.upper = randomLU(rng, benchSparseN)
 		p.zone = p.freed.Clone()
-		extrapolateLURef(p.zone, p.lower, p.upper)
+		extrapolateLURef(p.zone, p.lower, p.upper, false)
 		for {
 			_, ups := randomInvariant(rng, p.zone, false)
 			if len(ups) == 0 {
@@ -167,10 +167,8 @@ func BenchmarkInflateInto(b *testing.B) {
 }
 
 func BenchmarkInflateIntoFullClose(b *testing.B) {
-	// The partial-close path disabled: the before/after pair for the
+	// The full-Close reference: the before/after pair for the
 	// pivot-restricted closure in InflateInto.
-	defer SetPartialClose(true)
-	SetPartialClose(false)
 	for _, n := range benchDims {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			zs := benchZones(n)
@@ -182,7 +180,7 @@ func BenchmarkInflateIntoFullClose(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cs[i%benchPool].InflateInto(d)
+				inflateFullClose(cs[i%benchPool], d)
 			}
 		})
 	}
@@ -313,7 +311,7 @@ func BenchmarkExtrapolateLU(b *testing.B) {
 				p := &pool[i%benchPool]
 				d.CopyFrom(p.freed)
 				if ref {
-					extrapolateLURef(d, p.lower, p.upper)
+					extrapolateLURef(d, p.lower, p.upper, false)
 				} else {
 					d.ExtrapolateLU(p.lower, p.upper)
 				}

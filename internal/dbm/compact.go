@@ -301,18 +301,18 @@ func (c *Compact) InflateInto(d *DBM) bool {
 		}
 		pivots |= 1 << uint(cc.I)
 	}
-	if n > 64 || partialDisabled.Load() {
+	if n > 64 {
 		return d.Close()
 	}
-	if partialCheck.Load() {
-		ref := d.Clone()
-		ok := d.closePivots(pivots)
-		if ref.Close() != ok || (ok && !d.Equal(ref)) {
-			panic("dbm: pivot-restricted close diverges from full Close in InflateInto")
-		}
-		return ok
+	var ref *DBM
+	if shadowCheck {
+		ref = d.Clone()
 	}
-	return d.closePivots(pivots)
+	ok := d.closePivots(pivots)
+	if shadowCheck && (ref.Close() != ok || (ok && !d.Equal(ref))) {
+		panic("dbm: pivot-restricted close diverges from full Close in InflateInto")
+	}
+	return ok
 }
 
 // IncludesDBM reports whether the compact zone is a superset of (or equal

@@ -92,7 +92,7 @@ func (d *DBM) Equal(o *DBM) bool {
 // IsEmpty reports whether the zone is inconsistent. On canonical DBMs
 // emptiness manifests as a negative diagonal entry; we check entry (0,0),
 // which every operation that can detect inconsistency (Close, Constrain,
-// ConstrainUppers, Intersect, the pivot-restricted closes) drives negative
+// ConstrainUppers, the pivot-restricted closes) drives negative
 // through markEmpty.
 func (d *DBM) IsEmpty() bool { return d.m[0] < LEZero }
 
@@ -258,20 +258,6 @@ func (d *DBM) UpUnder(ups []Constraint) {
 	}
 }
 
-// Down computes the past of the zone (time predecessors): lower bounds are
-// relaxed to 0 where consistent. Preserves canonical form. O(n²).
-func (d *DBM) Down() {
-	n := d.n
-	for j := 1; j < n; j++ {
-		d.m[j] = LEZero
-		for i := 1; i < n; i++ {
-			if d.m[i*n+j] < d.m[j] {
-				d.m[j] = d.m[i*n+j]
-			}
-		}
-	}
-}
-
 // Reset sets clock i to the non-negative constant v. Preserves canonical
 // form. O(n).
 func (d *DBM) Reset(i int, v int32) {
@@ -281,24 +267,6 @@ func (d *DBM) Reset(i int, v int32) {
 		d.m[i*n+j] = Add(pos, d.m[j]) // xi - xj ≤ v + (x0 - xj)
 		d.m[j*n+i] = Add(d.m[j*n], neg)
 	}
-	d.m[i*n+i] = LEZero
-}
-
-// CopyClock assigns clock i the current value of clock j (xi := xj).
-// Preserves canonical form. O(n).
-func (d *DBM) CopyClock(i, j int) {
-	if i == j {
-		return
-	}
-	n := d.n
-	for k := 0; k < n; k++ {
-		if k != i {
-			d.m[i*n+k] = d.m[j*n+k]
-			d.m[k*n+i] = d.m[k*n+j]
-		}
-	}
-	d.m[i*n+j] = LEZero
-	d.m[j*n+i] = LEZero
 	d.m[i*n+i] = LEZero
 }
 
@@ -330,27 +298,6 @@ func (d *DBM) Includes(o *DBM) bool {
 		}
 	}
 	return true
-}
-
-// Intersect tightens d with every constraint of o, returning false if the
-// intersection is empty. Both inputs must be canonical; the result is
-// canonical. O(n³) worst case via Close, but only runs Close when some
-// entry actually tightened.
-func (d *DBM) Intersect(o *DBM) bool {
-	if d.n != o.n {
-		panic("dbm: dimension mismatch in Intersect")
-	}
-	changed := false
-	for i, b := range o.m {
-		if b < d.m[i] {
-			d.m[i] = b
-			changed = true
-		}
-	}
-	if !changed {
-		return !d.IsEmpty()
-	}
-	return d.Close()
 }
 
 // ExtrapolateMaxBounds applies classic max-bound (k-)extrapolation: bounds

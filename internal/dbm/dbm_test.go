@@ -111,21 +111,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestCopyClock(t *testing.T) {
-	d := Zero(3)
-	d.Up()
-	d.Constrain(1, 0, LE(4))
-	d.Constrain(0, 1, LE(-4)) // x1 == 4 (and x2 == 4 still, lockstep)
-	d.Reset(2, 0)
-	d.CopyClock(2, 1) // x2 := x1
-	if !d.Contains([]int64{0, 4, 4}) {
-		t.Error("after x2:=x1, (4,4) expected")
-	}
-	if d.Contains([]int64{0, 4, 0}) {
-		t.Error("after x2:=x1, x2 must equal x1")
-	}
-}
-
 func TestFreeClock(t *testing.T) {
 	d := Zero(3)
 	d.Up()
@@ -139,19 +124,6 @@ func TestFreeClock(t *testing.T) {
 	}
 	if !isCanonical(d) {
 		t.Error("FreeClock must preserve canonicity")
-	}
-}
-
-func TestDown(t *testing.T) {
-	d := Zero(2)
-	d.Up()
-	d.Constrain(0, 1, LE(-5)) // x1 >= 5
-	d.Down()
-	if !d.Contains([]int64{0, 2}) {
-		t.Error("past of x1>=5 should contain x1=2")
-	}
-	if d.Contains([]int64{0, -1}) {
-		t.Error("past must keep clocks non-negative")
 	}
 }
 
@@ -170,30 +142,6 @@ func TestIncludes(t *testing.T) {
 	}
 	if !big.Includes(big) {
 		t.Error("inclusion must be reflexive")
-	}
-}
-
-func TestIntersect(t *testing.T) {
-	a := Zero(2)
-	a.Up()
-	a.Constrain(1, 0, LE(10))
-	b := Zero(2)
-	b.Up()
-	b.Constrain(0, 1, LE(-5)) // x1 >= 5
-	if !a.Intersect(b) {
-		t.Fatal("intersection [5,10] should be non-empty")
-	}
-	if !a.Contains([]int64{0, 7}) || a.Contains([]int64{0, 4}) || a.Contains([]int64{0, 11}) {
-		t.Error("intersection should be exactly [5,10]")
-	}
-	c := Zero(2)
-	c.Up()
-	c.Constrain(1, 0, LT(5)) // x1 < 5
-	d := Zero(2)
-	d.Up()
-	d.Constrain(0, 1, LT(-5)) // x1 > 5
-	if c.Intersect(d) {
-		t.Error("x1<5 ∧ x1>5 should be empty")
 	}
 }
 
@@ -447,54 +395,5 @@ func TestAppendBytesDistinguishes(t *testing.T) {
 func TestMemBytesPositive(t *testing.T) {
 	if Zero(5).MemBytes() <= 0 {
 		t.Error("MemBytes must be positive")
-	}
-}
-
-// Property: Down (time predecessors) includes the original zone, and
-// Intersect is the greatest lower bound w.r.t. inclusion.
-func TestDownAndIntersectProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		a := randomZone(rng, 3)
-		down := a.Clone()
-		down.Down()
-		if !down.Includes(a) {
-			t.Fatalf("trial %d: down(Z) must include Z", trial)
-		}
-		if !isCanonical(down) {
-			t.Fatalf("trial %d: down broke canonicity", trial)
-		}
-
-		b := randomZone(rng, 3)
-		inter := a.Clone()
-		if inter.Intersect(b) {
-			if !a.Includes(inter) || !b.Includes(inter) {
-				t.Fatalf("trial %d: intersection not a lower bound", trial)
-			}
-			for s := 0; s < 30; s++ {
-				v := []int64{0, int64(rng.Intn(20)), int64(rng.Intn(20))}
-				if a.Contains(v) && b.Contains(v) && !inter.Contains(v) {
-					t.Fatalf("trial %d: common point %v missing from intersection", trial, v)
-				}
-			}
-		}
-	}
-}
-
-// Property: CopyClock makes the two clocks indistinguishable afterwards.
-func TestCopyClockProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 100; trial++ {
-		d := randomZone(rng, 3)
-		d.CopyClock(2, 1)
-		if !isCanonical(d) {
-			t.Fatalf("trial %d: CopyClock broke canonicity", trial)
-		}
-		for s := 0; s < 30; s++ {
-			v := []int64{0, int64(rng.Intn(15)), int64(rng.Intn(15))}
-			if d.Contains(v) && v[1] != v[2] {
-				t.Fatalf("trial %d: %v contained but clocks differ after copy", trial, v)
-			}
-		}
 	}
 }

@@ -27,53 +27,16 @@ package dbm
 //     touched rows against O(n³) for a full Close. Raises cannot create a
 //     negative cycle, so the zone stays non-empty by construction.
 //
-// Both operations are exact — they produce the same matrix as a full
-// Close() — and both can be disabled (SetPartialClose) or cross-checked
-// entry-for-entry against full Close on every call (SetPartialCloseCheck,
-// also enabled by the GUIDEDTA_DBM_CHECK environment variable), which is
-// how the differential fuzz harness pins their equivalence on random
-// networks.
+// Both operations are exact: they produce the same matrix as a full
+// Close(). Builds with the dbmcheck tag (see shadowCheck) also run a full
+// Close on a copy after every partial close and panic on any entry
+// mismatch; the differential fuzz harness and the DBM and checker tests
+// run under that tag in CI.
 
 import (
 	"fmt"
-	"os"
 	"sync"
-	"sync/atomic"
 )
-
-var (
-	// partialDisabled forces every partial re-canonicalization through the
-	// full O(n³) Close instead — the escape hatch and the differential-fuzz
-	// reference configuration. Process-wide; meant to be set once before
-	// searches run (concurrent searches read it without synchronization
-	// beyond the atomic).
-	partialDisabled atomic.Bool
-	// partialCheck makes every partial close ALSO run a full Close on a
-	// copy and panic on any entry mismatch — the debug assertion mode.
-	partialCheck atomic.Bool
-)
-
-func init() {
-	if os.Getenv("GUIDEDTA_DBM_CHECK") != "" {
-		partialCheck.Store(true)
-	}
-}
-
-// SetPartialClose enables (default) or disables partial re-canonicalization
-// package-wide. With it disabled, InflateInto and the extrapolation
-// operations re-close with the full Floyd–Warshall pass; results are
-// identical either way — the knob exists so differential test harnesses can
-// run the same search both ways and compare.
-func SetPartialClose(enabled bool) { partialDisabled.Store(!enabled) }
-
-// SetPartialCloseCheck toggles the assertion mode: every partial close is
-// cross-checked entry-for-entry against a full Close and panics on
-// divergence. Expensive; for tests and fuzz campaigns. Also enabled by
-// setting the GUIDEDTA_DBM_CHECK environment variable.
-func SetPartialCloseCheck(enabled bool) { partialCheck.Store(enabled) }
-
-// PartialCloseEnabled reports whether partial re-canonicalization is active.
-func PartialCloseEnabled() bool { return !partialDisabled.Load() }
 
 // closePivots brings the matrix to canonical form assuming every vertex
 // with an outgoing finite edge (other than trivially the diagonal) has its
@@ -119,8 +82,8 @@ func (d *DBM) closePivots(mask uint64) bool {
 
 // raiseScratch is the reusable buffer set of one partial close after a
 // raising operation (extrapolation): the touched-row set, ExtrapolateLU's
-// per-column predicate and, in check mode, the full-Close reference copy.
-// Pooled because extrapolation runs once per generated successor.
+// per-column predicate and, under shadowCheck, the full-Close reference
+// copy. Pooled because extrapolation runs once per generated successor.
 type raiseScratch struct {
 	touched []bool
 	exceeds []bool
@@ -157,32 +120,26 @@ func (s *raiseScratch) mark(i int) {
 }
 
 // closeRaised restores canonical form after entries confined to the rows in
-// s were raised, releasing s. It dispatches on the package knobs: partial
-// close by default, full Close when disabled, and the entry-for-entry
-// cross-check in assertion mode. The zone cannot have become empty (weights
+// s were raised, releasing s. The zone cannot have become empty (weights
 // only grew), so there is no emptiness result to report.
 func (d *DBM) closeRaised(s *raiseScratch) {
 	defer putRaiseScratch(s)
-	if partialDisabled.Load() {
-		d.Close()
-		return
-	}
-	if partialCheck.Load() {
+	if shadowCheck {
 		if s.ref == nil || s.ref.n != d.n {
 			s.ref = d.Clone()
 		} else {
 			s.ref.CopyFrom(d)
 		}
-		d.closeAfterRaise(s.touched, s.rows)
+	}
+	d.closeAfterRaise(s.touched, s.rows)
+	if shadowCheck {
 		if !s.ref.Close() {
 			panic("dbm: raise emptied a zone (closeAfterRaise precondition violated)")
 		}
 		if !d.Equal(s.ref) {
 			panic(fmt.Sprintf("dbm: partial close diverges from full Close\npartial: %v\nfull:    %v", d, s.ref))
 		}
-		return
 	}
-	d.closeAfterRaise(s.touched, s.rows)
 }
 
 // closeAfterRaise is the two-phase partial closure described in the file

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"guidedta/internal/dbm"
 	"guidedta/internal/mc"
 	"guidedta/internal/ta"
 )
@@ -22,13 +21,6 @@ type Config struct {
 	// non-exact ones (bit-state hashing) are under-approximations that may
 	// miss goals but must never invent them.
 	Exact bool
-	// Setup/Teardown bracket the config's run for configurations that flip
-	// a package-global engine mode (the dbm lazy-canonicalization toggles).
-	// The harness runs configs strictly one at a time, so a global flip
-	// cannot leak into a concurrently running config; Teardown always runs,
-	// even when the search errors.
-	Setup    func()
-	Teardown func()
 }
 
 // Configs returns the cross-check matrix: a curated sweep of the exact
@@ -37,11 +29,11 @@ type Config struct {
 // BestTime order (exact; timeClock names the generator's never-reset
 // global clock) and the two bit-state under-approximations. Since the
 // compact store became the engine default, the bare bfs/dfs configs
-// exercise it and the -full variants pin the full-DBM store; two extra
-// compact configs flip the dbm lazy-canonicalization globals — full-Close
-// fallback (partial close disabled) and the shadow-check assertion mode,
-// which panics on any partial-vs-full divergence mid-campaign. maxStates
-// bounds every search so a generator miss cannot hang a campaign.
+// exercise it and the -full variants pin the full-DBM store. A build with
+// the dbmcheck tag cross-checks every partial close of the dbm package
+// against a full Close in every configuration, panicking on divergence
+// mid-campaign. maxStates bounds every search so a generator miss cannot
+// hang a campaign.
 func Configs(maxStates, timeClock int) []Config {
 	mk := func(name string, exact bool, tweak func(*mc.Options)) Config {
 		o := mc.DefaultOptions(mc.BFS)
@@ -49,12 +41,6 @@ func Configs(maxStates, timeClock int) []Config {
 		tweak(&o)
 		return Config{Name: name, Opts: o, Exact: exact}
 	}
-	fullClose := mk("bfs-fullclose", true, func(o *mc.Options) {})
-	fullClose.Setup = func() { dbm.SetPartialClose(false) }
-	fullClose.Teardown = func() { dbm.SetPartialClose(true) }
-	closeCheck := mk("bfs-closecheck", true, func(o *mc.Options) {})
-	closeCheck.Setup = func() { dbm.SetPartialCloseCheck(true) }
-	closeCheck.Teardown = func() { dbm.SetPartialCloseCheck(false) }
 	cfgs := []Config{
 		mk("bfs", true, func(o *mc.Options) {}),
 		mk("dfs", true, func(o *mc.Options) { o.Search = mc.DFS }),
@@ -73,8 +59,6 @@ func Configs(maxStates, timeClock int) []Config {
 			o.Compact = false
 			o.Inclusion = false
 		}),
-		fullClose,
-		closeCheck,
 		mk("bsh", false, func(o *mc.Options) { o.Search = mc.BSH }),
 		mk("bsh-coarse", false, func(o *mc.Options) { o.Search = mc.BSH; o.CoarseHash = true }),
 	}
@@ -166,15 +150,7 @@ func (h *Harness) CheckModel(caseNo int, sys *ta.System, goal mc.Goal) []*Proble
 	var exactName string
 	stats := make(map[string]mc.Stats)
 	for _, cfg := range Configs(h.maxStates(), timeClock) {
-		res, err := func() (mc.Result, error) {
-			if cfg.Setup != nil {
-				cfg.Setup()
-			}
-			if cfg.Teardown != nil {
-				defer cfg.Teardown()
-			}
-			return h.explore()(sys, goal, cfg.Opts)
-		}()
+		res, err := h.explore()(sys, goal, cfg.Opts)
 		if err != nil {
 			problems = append(problems, &Problem{
 				Kind: "error", Case: caseNo, Config: cfg.Name,
@@ -223,10 +199,7 @@ func (h *Harness) CheckModel(caseNo int, sys *ta.System, goal mc.Goal) []*Proble
 	// explore, store, and evict exactly as the full-DBM baseline does —
 	// verdict agreement alone would miss an eviction-gate bug whose wrong
 	// decisions happen not to change the answer.
-	for _, pair := range [][2]string{
-		{"bfs-full", "bfs"}, {"bfs-full", "bfs-fullclose"}, {"bfs-full", "bfs-closecheck"},
-		{"dfs-full", "dfs"},
-	} {
+	for _, pair := range [][2]string{{"bfs-full", "bfs"}, {"dfs-full", "dfs"}} {
 		ref, okRef := stats[pair[0]]
 		got, okGot := stats[pair[1]]
 		if !okRef || !okGot {
