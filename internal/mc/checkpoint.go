@@ -190,13 +190,20 @@ func (ck *checkpointer) load() (*snapshot.Checkpoint, error) {
 // entry in the store's deterministic order, the frontier in pop-structure
 // order, the ancestor chains both need for trace reconstruction, and the
 // cumulative counters. The caller owns identity stamping (see write).
+//
+// It works in two passes so that nothing grows by appending. The first
+// assigns node indices: store entries in forEachNode order, each preceded
+// by its unseen ancestors root-first, then the frontier's. The second
+// allocates the node table at its exact size and fills it, carving every
+// captured zone's bounds or constraints from one array per form.
 func captureState(store stateStore, frontNodes []*node, prios []int64, st snapshot.Stats) (*snapshot.Checkpoint, error) {
 	cs, ok := store.(localStore)
 	if !ok {
 		return nil, fmt.Errorf("mc: store kind %T is not checkpointable", store)
 	}
-	cp := &snapshot.Checkpoint{Stats: st}
-	index := make(map[*node]int32)
+	ss := store.stats()
+	index := make(map[*node]int32, ss.count)
+	order := make([]*node, 0, ss.count)
 	var chain []*node
 	// add indexes n and any unseen ancestors (root-first, iteratively — DFS
 	// parent chains can be thousands deep) and returns n's index.
@@ -212,77 +219,87 @@ func captureState(store stateStore, frontNodes []*node, prios []int64, st snapsh
 			chain = append(chain, c)
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
-			c := chain[i]
-			sn := snapshot.Node{
-				Parent: -1,
-				Depth:  int32(c.depth),
-				Via: [5]int32{
-					int32(c.via.Chan), int32(c.via.A1), int32(c.via.E1),
-					int32(c.via.A2), int32(c.via.E2),
-				},
-				Subsumed: c.subsumed.Load(),
-			}
-			if c.parent != nil {
-				sn.Parent = index[c.parent]
-			}
-			index[c] = int32(len(cp.Nodes))
-			cp.Nodes = append(cp.Nodes, sn)
+			index[chain[i]] = int32(len(order))
+			order = append(order, chain[i])
 		}
 		return index[n]
 	}
-
-	var fillErr error
-	cs.forEachNode(func(n *node) {
-		ix := add(n)
-		if err := fillNodeState(&cp.Nodes[ix], n); err != nil && fillErr == nil {
-			fillErr = err
-		}
-		cp.Store = append(cp.Store, ix)
-	})
-	if fillErr != nil {
-		return nil, fillErr
+	cp := &snapshot.Checkpoint{Stats: st, Store: make([]int32, 0, ss.count)}
+	cs.forEachNode(func(n *node) { cp.Store = append(cp.Store, add(n)) })
+	if len(frontNodes) > 0 { // a finished search's empty frontier stays nil
+		cp.Frontier = make([]snapshot.FrontierEntry, len(frontNodes))
 	}
 	for i, n := range frontNodes {
-		ix := add(n)
-		sn := &cp.Nodes[ix]
-		if !sn.HasState && !sn.Subsumed {
-			// Unreachable today — a live frontier node is always a store
-			// entry — but capture its state rather than corrupt the file.
-			if err := fillNodeState(sn, n); err != nil {
-				return nil, err
-			}
-		}
-		fe := snapshot.FrontierEntry{Node: ix}
+		cp.Frontier[i].Node = add(n)
 		if prios != nil {
-			fe.Prio = prios[i]
+			cp.Frontier[i].Prio = prios[i]
 		}
-		cp.Frontier = append(cp.Frontier, fe)
+	}
+
+	cp.Nodes = make([]snapshot.Node, len(order))
+	for i, c := range order {
+		sn := &cp.Nodes[i]
+		sn.Parent = -1
+		if c.parent != nil {
+			sn.Parent = index[c.parent]
+		}
+		sn.Depth = int32(c.depth)
+		sn.Via = [5]int32{
+			int32(c.via.Chan), int32(c.via.A1), int32(c.via.E1),
+			int32(c.via.A2), int32(c.via.E2),
+		}
+		sn.Subsumed = c.subsumed.Load()
+	}
+	// The nodes that carry state: every store entry, and a frontier node
+	// that is neither one nor subsumed — unreachable today, a live frontier
+	// node is always a store entry, but its state is captured rather than
+	// the file corrupted.
+	for _, ix := range cp.Store {
+		cp.Nodes[ix].HasState = true
+	}
+	for _, fe := range cp.Frontier {
+		if sn := &cp.Nodes[fe.Node]; !sn.Subsumed {
+			sn.HasState = true
+		}
+	}
+	var nb, nc int
+	for i, c := range order {
+		if !cp.Nodes[i].HasState {
+			continue
+		}
+		switch {
+		case c.czone != nil:
+			nc += c.czone.Len()
+		case c.zone != nil:
+			nb += c.zone.Dim() * c.zone.Dim()
+		default:
+			return nil, fmt.Errorf("mc: checkpoint: stored node holds no zone in either form")
+		}
+	}
+	bounds := make([]dbm.Bound, 0, nb)
+	cons := make([]dbm.Constraint, 0, nc)
+	for i, c := range order {
+		sn := &cp.Nodes[i]
+		if !sn.HasState {
+			continue
+		}
+		sn.Locs, sn.Env = c.locs, c.env
+		// Each zone's slice is capped at its own end, so an append to one
+		// can never reach the next.
+		if c.czone != nil {
+			a := len(cons)
+			cons = c.czone.AppendConstraints(cons)
+			sn.Zone = snapshot.Zone{Kind: snapshot.ZoneCompact, Dim: c.czone.Dim()}
+			if len(cons) > a { // an empty constraint list stays nil
+				sn.Zone.Cons = cons[a:len(cons):len(cons)]
+			}
+		} else {
+			a := len(bounds)
+			bounds = c.zone.AppendBounds(bounds)
+			sn.Zone = snapshot.Zone{Kind: snapshot.ZoneFull, Dim: c.zone.Dim(), Bounds: bounds[a:len(bounds):len(bounds)]}
+		}
 	}
 	return cp, nil
-}
-
-// fillNodeState captures a node's discrete state and zone (whichever form
-// it currently holds; quiesced compact-store nodes hold the minimal form).
-func fillNodeState(sn *snapshot.Node, n *node) error {
-	sn.HasState = true
-	sn.Locs, sn.Env = n.locs, n.env
-	switch {
-	case n.czone != nil:
-		sn.Zone = snapshot.Zone{
-			Kind: snapshot.ZoneCompact,
-			Dim:  n.czone.Dim(),
-			Cons: n.czone.AppendConstraints(nil),
-		}
-	case n.zone != nil:
-		sn.Zone = snapshot.Zone{
-			Kind:   snapshot.ZoneFull,
-			Dim:    n.zone.Dim(),
-			Bounds: n.zone.AppendBounds(nil),
-		}
-	default:
-		return fmt.Errorf("mc: checkpoint: stored node holds no zone in either form")
-	}
-	return nil
 }
 
 // resumedState is a checkpoint rebuilt into live engine structures.
@@ -361,12 +378,14 @@ func seedFromCheckpoint(cp *snapshot.Checkpoint, store stateStore, compact bool)
 }
 
 // treeOf rebuilds a checkpoint's search tree: one node per saved node,
-// with its depth, transition and parent link, but no state. Decode has
-// checked every index; a warm start also screens the chains' shape.
+// with its depth, transition and parent link, but no state. The nodes are
+// carved from one array. Decode has checked every index; a warm start also
+// screens the chains' shape.
 func treeOf(cp *snapshot.Checkpoint) []*node {
+	slab := make([]node, len(cp.Nodes))
 	nodes := make([]*node, len(cp.Nodes))
 	for i := range nodes {
-		nodes[i] = &node{}
+		nodes[i] = &slab[i]
 	}
 	for i, n := range nodes {
 		sn := &cp.Nodes[i]

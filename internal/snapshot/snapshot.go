@@ -35,8 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"guidedta/internal/dbm"
 )
@@ -184,10 +187,14 @@ type header struct {
 // footer). Write is Encode plus the atomic file dance; Encode is exposed
 // for tests and future transports (shard handoff over the network).
 func (cp *Checkpoint) Encode() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(cp.Nodes)*32)
-	buf = append(buf, magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
+	return cp.encodeInto(nil)
+}
 
+// encodeInto serializes the checkpoint into buf's storage, grown once to
+// the exact encoded size: a sizing pass computes every section's length,
+// so each section header is written up front and its payload encoded
+// straight after it, with no per-section payload slice and no growth.
+func (cp *Checkpoint) encodeInto(buf []byte) ([]byte, error) {
 	hdr, err := json.Marshal(header{
 		ModelSHA: cp.ModelSHA,
 		Options:  json.RawMessage(cp.Options),
@@ -197,30 +204,49 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding header: %w", err)
 	}
-	buf = appendSection(buf, secHeader, hdr)
-	buf = appendSection(buf, secNodes, cp.encodeNodes(nil))
-	buf = appendSection(buf, secStore, encodeIndexList(nil, cp.Store))
-	buf = appendSection(buf, secFrontier, cp.encodeFrontier(nil))
 	st, err := json.Marshal(cp.Stats)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding stats: %w", err)
 	}
-	buf = appendSection(buf, secStats, st)
+	nodesLen, storeLen, frontLen := cp.nodesSize(), indexListSize(cp.Store), cp.frontierSize()
+	body := len(magic) + 4 + sectionSize(len(hdr)) + sectionSize(nodesLen) +
+		sectionSize(storeLen) + sectionSize(frontLen) + sectionSize(len(st))
 
+	buf = slices.Grow(buf[:0], body+sha256.Size)
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
+	buf = append(appendSectionHeader(buf, secHeader, len(hdr)), hdr...)
+	buf = cp.encodeNodes(appendSectionHeader(buf, secNodes, nodesLen))
+	buf = encodeIndexList(appendSectionHeader(buf, secStore, storeLen), cp.Store)
+	buf = cp.encodeFrontier(appendSectionHeader(buf, secFrontier, frontLen))
+	buf = append(appendSectionHeader(buf, secStats, len(st)), st...)
+	if len(buf) != body {
+		// A sizing function disagrees with its encoder: the section
+		// lengths already written are wrong, so the bytes must not land.
+		return nil, fmt.Errorf("snapshot: encoded %d bytes, sized %d", len(buf), body)
+	}
 	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	return buf, nil
+	return append(buf, sum[:]...), nil
 }
+
+// bufPool recycles the byte buffers Write encodes into and Load reads
+// into: a re-synthesis server writes and loads a checkpoint per warm job.
+// Neither function lets a buffer escape — Decode copies everything it
+// keeps — so a buffer is free again as soon as the call returns.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Write atomically persists the checkpoint at path: the bytes land in a
 // temp file in the same directory, are fsynced, and are renamed over the
 // target, so a crash mid-write leaves either the previous checkpoint or
 // none — never a torn file.
 func Write(path string, cp *Checkpoint) error {
-	data, err := cp.Encode()
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	data, err := cp.encodeInto(*bp)
 	if err != nil {
 		return err
 	}
+	*bp = data
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -251,13 +277,37 @@ func Write(path string, cp *Checkpoint) error {
 // Load reads and verifies a checkpoint. Errors distinguish a missing file
 // (os.IsNotExist / fs.ErrNotExist), a non-checkpoint file (ErrBadMagic),
 // an incompatible version (ErrVersion), and corruption (ErrCorrupt).
+// The file is read into a pooled buffer of its Stat size; a file shorter
+// than that is ErrCorrupt.
 func Load(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := fi.Size()
+	if uint64(size) > maxInt {
+		return nil, fmt.Errorf("%w: file size %d exceeds the address space", ErrCorrupt, size)
+	}
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	data := slices.Grow((*bp)[:0], int(size))[:size]
+	*bp = data
+	if _, err := io.ReadFull(f, data); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("%w: file shorter than its size %d", ErrCorrupt, size)
+		}
+		return nil, fmt.Errorf("snapshot: reading %s: %w", path, err)
+	}
 	return Decode(data)
 }
+
+// maxInt bounds lengths read from files before they are used as ints.
+const maxInt = uint64(^uint(0) >> 1)
 
 // Header is the identity portion of a checkpoint: the fields of the header
 // section, readable without decoding — or hash-verifying — the node table.
@@ -312,7 +362,6 @@ func ReadHeader(path string) (*Header, error) {
 		// Bound the unvalidated length by the file size before allocating
 		// or discarding: a corrupt uvarint must yield ErrCorrupt, not a
 		// multi-GB allocation (or an int overflow on 32-bit platforms).
-		const maxInt = uint64(^uint(0) >> 1)
 		if n > uint64(size) || n > maxInt {
 			return nil, fmt.Errorf("%w: section %d length %d exceeds file size %d", ErrCorrupt, tag, n, size)
 		}
@@ -422,10 +471,24 @@ func Decode(data []byte) (*Checkpoint, error) {
 
 // --- section encoders/decoders ---
 
-func appendSection(buf []byte, tag byte, payload []byte) []byte {
-	buf = append(buf, tag)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	return append(buf, payload...)
+func appendSectionHeader(buf []byte, tag byte, n int) []byte {
+	return binary.AppendUvarint(append(buf, tag), uint64(n))
+}
+
+// sectionSize is the encoded size of a section with an n-byte payload.
+func sectionSize(n int) int { return 1 + uvarintLen(uint64(n)) + n }
+
+// uvarintLen is len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is len(binary.AppendVarint(nil, v)): the zigzag encoding's
+// uvarint length.
+func varintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
 }
 
 // Node flag bits.
@@ -477,15 +540,90 @@ func (cp *Checkpoint) encodeNodes(buf []byte) []byte {
 	return buf
 }
 
+// nodesSize is len(cp.encodeNodes(nil)), computed without encoding.
+func (cp *Checkpoint) nodesSize() int {
+	size := uvarintLen(uint64(len(cp.Nodes)))
+	for i := range cp.Nodes {
+		n := &cp.Nodes[i]
+		size += varintLen(int64(n.Parent)) + uvarintLen(uint64(n.Depth)) + 1 // flags
+		for _, v := range n.Via {
+			size += varintLen(int64(v))
+		}
+		if !n.HasState {
+			continue
+		}
+		size += int32sSize(n.Locs) + int32sSize(n.Env)
+		switch n.Zone.Kind {
+		case ZoneFull:
+			size += uvarintLen(uint64(n.Zone.Dim))
+			for _, b := range n.Zone.Bounds {
+				size += varintLen(int64(b))
+			}
+		case ZoneCompact:
+			size += uvarintLen(uint64(n.Zone.Dim)) + uvarintLen(uint64(len(n.Zone.Cons)))
+			for _, cc := range n.Zone.Cons {
+				size += uvarintLen(uint64(cc.I)) + uvarintLen(uint64(cc.J)) + varintLen(int64(cc.B))
+			}
+		}
+	}
+	return size
+}
+
+// decodeNodes parses the node section in two passes over its bytes. The
+// first validates every record and counts what the nodes hold; only then
+// is anything allocated, so a crafted length can cost no more memory than
+// the section could really describe. The second pass allocates the nodes
+// and one shared array each for all Locs and Env, all full-zone bounds
+// and all compact constraints, at exactly the counted sizes, and fills
+// them. Every node's slices are capped sub-slices of those arrays, so an
+// append to one reallocates rather than overwrite a neighbour.
 func (cp *Checkpoint) decodeNodes(payload []byte) error {
+	var count nodeSlabs
+	if err := count.walk(payload); err != nil {
+		return err
+	}
+	fill := nodeSlabs{
+		nodes:  make([]Node, count.nNodes),
+		ints:   make([]int32, count.nInts),
+		bounds: make([]dbm.Bound, count.nBounds),
+		cons:   make([]dbm.Constraint, count.nCons),
+	}
+	if err := fill.walk(payload); err != nil {
+		return err
+	}
+	cp.Nodes = fill.nodes
+	return nil
+}
+
+// nodeSlabs is one pass of decodeNodes: the shared arrays (all nil on the
+// counting pass) and how much of each the records so far have taken.
+type nodeSlabs struct {
+	nodes  []Node
+	ints   []int32
+	bounds []dbm.Bound
+	cons   []dbm.Constraint
+
+	nNodes, nInts, nBounds, nCons int
+}
+
+// walk parses the node section. When the arrays are allocated it carves
+// each record's slices from them and decodes the values; when not, it
+// only counts the values and skips them (accepting exactly the varints
+// the decoding pass accepts), which is what makes counting cheap.
+func (s *nodeSlabs) walk(payload []byte) error {
+	fill := s.nodes != nil
 	r := reader{buf: payload}
 	count := r.uvarint()
 	if count > uint64(len(payload)) { // every node costs >= 1 byte
 		return fmt.Errorf("implausible node count %d", count)
 	}
-	nodes := make([]Node, count)
-	for i := range nodes {
-		n := &nodes[i]
+	s.nNodes = int(count)
+	var scratch Node
+	for i := 0; i < s.nNodes; i++ {
+		n := &scratch
+		if fill {
+			n = &s.nodes[i]
+		}
 		n.Parent = int32(r.varint())
 		n.Depth = int32(r.uvarint())
 		for vi := range n.Via {
@@ -501,32 +639,47 @@ func (cp *Checkpoint) decodeNodes(payload []byte) error {
 		if !n.HasState {
 			continue
 		}
-		n.Locs = r.int32s()
-		n.Env = r.int32s()
+		n.Locs = s.int32s(&r)
+		n.Env = s.int32s(&r)
 		switch n.Zone.Kind {
 		case ZoneFull:
-			dim := int(r.uvarint())
-			if dim < 1 || dim > 1<<14 || r.failed {
+			// Each bound takes at least one byte: a dimension whose matrix
+			// cannot fit in what is left is rejected before it is counted.
+			dim := r.uvarint()
+			if dim < 1 || dim > 1<<14 || dim*dim > uint64(r.left()) || r.failed {
 				return fmt.Errorf("node %d: bad zone dimension %d", i, dim)
 			}
-			n.Zone.Dim = dim
-			n.Zone.Bounds = make([]dbm.Bound, dim*dim)
-			for bi := range n.Zone.Bounds {
-				n.Zone.Bounds[bi] = dbm.Bound(r.varint())
+			n.Zone.Dim = int(dim)
+			a := s.nBounds
+			s.nBounds += int(dim * dim)
+			if !fill {
+				r.skip(int(dim * dim))
+				break
 			}
+			bs := s.bounds[a:s.nBounds:s.nBounds]
+			for bi := range bs {
+				bs[bi] = dbm.Bound(r.varint())
+			}
+			n.Zone.Bounds = bs
 		case ZoneCompact:
-			dim := int(r.uvarint())
+			// Each constraint takes at least three bytes.
+			dim := r.uvarint()
 			k := r.uvarint()
-			if dim < 1 || dim > 1<<14 || k > uint64(len(payload)) || r.failed {
+			if dim < 1 || dim > 1<<14 || k > uint64(r.left()/3) || r.failed {
 				return fmt.Errorf("node %d: bad compact zone (dim %d, %d constraints)", i, dim, k)
 			}
-			n.Zone.Dim = dim
-			n.Zone.Cons = make([]dbm.Constraint, k)
-			for ci := range n.Zone.Cons {
-				n.Zone.Cons[ci] = dbm.Constraint{
-					I: uint16(r.uvarint()), J: uint16(r.uvarint()), B: dbm.Bound(r.varint()),
-				}
+			n.Zone.Dim = int(dim)
+			a := s.nCons
+			s.nCons += int(k)
+			if !fill {
+				r.skip(3 * int(k))
+				break
 			}
+			cs := s.cons[a:s.nCons:s.nCons]
+			for ci := range cs {
+				cs[ci] = dbm.Constraint{I: uint16(r.uvarint()), J: uint16(r.uvarint()), B: dbm.Bound(r.varint())}
+			}
+			n.Zone.Cons = cs
 		}
 		if r.failed {
 			return fmt.Errorf("truncated at node %d", i)
@@ -535,8 +688,28 @@ func (cp *Checkpoint) decodeNodes(payload []byte) error {
 	if r.failed {
 		return errors.New("truncated node section")
 	}
-	cp.Nodes = nodes
 	return nil
+}
+
+// int32s reads a counted varint list, carved from the shared ints array
+// on the filling pass and only counted on the counting pass.
+func (s *nodeSlabs) int32s(r *reader) []int32 {
+	count := r.uvarint()
+	if r.failed || count > uint64(r.left()) { // every value costs >= 1 byte
+		r.failed = true
+		return nil
+	}
+	a := s.nInts
+	s.nInts += int(count)
+	if s.nodes == nil {
+		r.skip(int(count))
+		return nil
+	}
+	vs := s.ints[a:s.nInts:s.nInts]
+	for i := range vs {
+		vs[i] = int32(r.varint())
+	}
+	return vs
 }
 
 func encodeIndexList(buf []byte, ixs []int32) []byte {
@@ -545,6 +718,15 @@ func encodeIndexList(buf []byte, ixs []int32) []byte {
 		buf = binary.AppendUvarint(buf, uint64(ix))
 	}
 	return buf
+}
+
+// indexListSize is len(encodeIndexList(nil, ixs)).
+func indexListSize(ixs []int32) int {
+	size := uvarintLen(uint64(len(ixs)))
+	for _, ix := range ixs {
+		size += uvarintLen(uint64(ix))
+	}
+	return size
 }
 
 func decodeIndexList(payload []byte) ([]int32, error) {
@@ -572,6 +754,15 @@ func (cp *Checkpoint) encodeFrontier(buf []byte) []byte {
 	return buf
 }
 
+// frontierSize is len(cp.encodeFrontier(nil)).
+func (cp *Checkpoint) frontierSize() int {
+	size := uvarintLen(uint64(len(cp.Frontier)))
+	for _, fe := range cp.Frontier {
+		size += uvarintLen(uint64(fe.Node)) + varintLen(fe.Prio)
+	}
+	return size
+}
+
 func (cp *Checkpoint) decodeFrontier(payload []byte) error {
 	r := reader{buf: payload}
 	count := r.uvarint()
@@ -590,6 +781,15 @@ func (cp *Checkpoint) decodeFrontier(payload []byte) error {
 	return nil
 }
 
+// int32sSize is len(appendInt32s(nil, vs)).
+func int32sSize(vs []int32) int {
+	size := uvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		size += varintLen(int64(v))
+	}
+	return size
+}
+
 func appendInt32s(buf []byte, vs []int32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(vs)))
 	for _, v := range vs {
@@ -600,51 +800,66 @@ func appendInt32s(buf []byte, vs []int32) []byte {
 
 // reader is a failure-latching varint cursor: every read after an overrun
 // returns zero and sets failed, so decoders check once per record instead
-// of on every field.
+// of on every field. It advances an offset rather than reslicing buf, so
+// a read stores no pointer (and needs no GC write barrier).
 type reader struct {
 	buf    []byte
+	off    int
 	failed bool
 }
 
+// left is the number of unread bytes.
+func (r *reader) left() int { return len(r.buf) - r.off }
+
 func (r *reader) byte() byte {
-	if len(r.buf) == 0 {
+	if r.off >= len(r.buf) {
 		r.failed = true
 		return 0
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
+	b := r.buf[r.off]
+	r.off++
 	return b
 }
 
 func (r *reader) uvarint() uint64 {
-	v, k := binary.Uvarint(r.buf)
+	// One-byte values — most locations, integers and small bounds — skip
+	// the general decoder.
+	if off := r.off; off < len(r.buf) {
+		if b := r.buf[off]; b < 0x80 {
+			r.off = off + 1
+			return uint64(b)
+		}
+	}
+	return r.uvarintSlow()
+}
+
+func (r *reader) uvarintSlow() uint64 {
+	v, k := binary.Uvarint(r.buf[r.off:])
 	if k <= 0 {
 		r.failed = true
 		return 0
 	}
-	r.buf = r.buf[k:]
+	r.off += k
 	return v
 }
 
+// skip passes over n varints.
+func (r *reader) skip(n int) {
+	for ; n > 0 && !r.failed; n-- {
+		if off := r.off; off < len(r.buf) && r.buf[off] < 0x80 {
+			r.off = off + 1
+			continue
+		}
+		r.uvarintSlow()
+	}
+}
+
+// varint is binary.Varint over uvarint: the zigzag decoding.
 func (r *reader) varint() int64 {
-	v, k := binary.Varint(r.buf)
-	if k <= 0 {
-		r.failed = true
-		return 0
+	ux := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	r.buf = r.buf[k:]
-	return v
-}
-
-func (r *reader) int32s() []int32 {
-	count := r.uvarint()
-	if r.failed || count > uint64(len(r.buf))+1 {
-		r.failed = true
-		return nil
-	}
-	vs := make([]int32, count)
-	for i := range vs {
-		vs[i] = int32(r.varint())
-	}
-	return vs
+	return x
 }
