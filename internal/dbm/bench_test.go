@@ -232,6 +232,28 @@ func BenchmarkSubsetOf(b *testing.B) {
 			}
 		})
 	}
+	// The Fischer shape: the newcomer pins a clock difference the stored
+	// zone leaves open and agrees with it on every stored bound, so no
+	// stored constraint refutes by its own position (see pinnedPair).
+	for _, n := range benchDims {
+		b.Run(fmt.Sprintf("pinned-n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(3000 + n)))
+			olds := make([]*Compact, benchPool)
+			news := make([]*DBM, benchPool)
+			newMins := make([]*Compact, benchPool)
+			for i := range olds {
+				oldZ, newZ := pinnedPair(rng, n, randomZone)
+				olds[i], news[i], newMins[i] = oldZ.Minimal(), newZ, newZ.Minimal()
+			}
+			dist := make([]Bound, n*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % benchPool
+				olds[k].SubsetOf(news[k], newMins[k], dist)
+			}
+		})
+	}
 }
 
 func BenchmarkUp(b *testing.B) {

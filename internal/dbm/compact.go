@@ -40,12 +40,16 @@ type Constraint struct {
 // after creation and safe to share between goroutines. The zero value is
 // not useful; obtain one from DBM.Minimal.
 type Compact struct {
-	n  int
-	cs []Constraint
+	n int32
+	// cyc counts the leading constraints that pin equality classes (the
+	// class cycles of Minimal's phase 1). Every later constraint joins two
+	// distinct classes, which is what SubsetOf's mirror refutation needs.
+	cyc int32
+	cs  []Constraint
 }
 
 // Dim returns the dimension of the zone (including the reference clock).
-func (c *Compact) Dim() int { return c.n }
+func (c *Compact) Dim() int { return int(c.n) }
 
 // Len returns the number of stored constraints.
 func (c *Compact) Len() int { return len(c.cs) }
@@ -126,7 +130,7 @@ type Reducer struct {
 func (r *Reducer) Minimal(d *DBM) *Compact {
 	n := d.n
 	if d.IsEmpty() {
-		return &Compact{n: n, cs: []Constraint{{0, 0, LTZero}}}
+		return &Compact{n: int32(n), cs: []Constraint{{0, 0, LTZero}}}
 	}
 	// Constraints (0, j, LEZero) are implied by the universal base zone
 	// (xj >= 0) and skipped at every emission site below.
@@ -196,6 +200,7 @@ func (r *Reducer) Minimal(d *DBM) *Compact {
 			}
 		}
 	}
+	cyc := len(buf)
 	// colBits[j] gets the representatives k with a finite entry (k,j).
 	for i := range colBits {
 		colBits[i] = 0
@@ -252,13 +257,13 @@ func (r *Reducer) Minimal(d *DBM) *Compact {
 	r.buf = buf // keep any growth for the next call
 	cs := make([]Constraint, len(buf))
 	copy(cs, buf)
-	return &Compact{n: n, cs: cs}
+	return &Compact{n: int32(n), cyc: int32(cyc), cs: cs}
 }
 
 // Inflate reconstructs the full canonical DBM the compact form was taken
 // from. The result of inflating a non-empty zone is Equal to the original.
 func (c *Compact) Inflate() *DBM {
-	d := New(c.n)
+	d := New(int(c.n))
 	c.InflateInto(d)
 	return d
 }
@@ -275,7 +280,7 @@ func (c *Compact) Inflate() *DBM {
 // drops to O(k·n²) for k distinct sources. This is the compact store's
 // per-pop hot path.
 func (c *Compact) InflateInto(d *DBM) bool {
-	n := c.n
+	n := int(c.n)
 	if d.n != n {
 		panic("dbm: dimension mismatch in InflateInto")
 	}
@@ -346,11 +351,12 @@ func (d *DBM) ClocksNonNegative() bool {
 // ClocksNonNegative: it checks only the stored constraints, in
 // O(constraints).
 func (c *Compact) IncludesNonNegative(o *DBM) bool {
-	if c.n != o.n {
+	n := int(c.n)
+	if n != o.n {
 		panic("dbm: dimension mismatch in IncludesDBM")
 	}
 	for _, cc := range c.cs {
-		if cc.B < o.m[int(cc.I)*c.n+int(cc.J)] {
+		if cc.B < o.m[int(cc.I)*n+int(cc.J)] {
 			return false
 		}
 	}
@@ -363,30 +369,57 @@ func (c *Compact) IncludesNonNegative(o *DBM) bool {
 // space of at least n² bounds for dimension n; SubsetOf overwrites it and
 // allocates nothing.
 //
-// zone(d) is the closure of the base constraints xj ≥ 0 and dMin's
-// constraints, and every zone satisfies the base constraints, so c ⊆ d iff
-// c satisfies every constraint (i, j, b) of dMin: iff the shortest path
-// i ⇝ j in c's constraint graph — the base edges 0→j of weight ≤ 0 plus c's
-// stored constraints — is at most b. Each such path comes from one
-// single-source relaxation over those k + n edges (shortestFrom), kept in
-// row i of dist for the other constraints of dMin with the same source, so
-// c's closure is never built. Two cheap exits run first. Stored minimal
-// constraints equal the closure entries at their positions, so one looser
-// than d's entry there refutes the inclusion in O(k). And the empty-zone
-// sentinel is a subset of everything.
+// The empty-zone sentinel is a subset of everything. Otherwise one O(k)
+// pass over c's stored constraints tries two exact refutations, and only
+// if both fail does the shortest-path test (satisfies) decide.
+//
+//   - Forward: a stored minimal constraint equals c's closure entry at its
+//     position, so one looser than d's entry there refutes c ⊆ d.
+//   - Mirror: a constraint (a, b, w) past the class cycles joins two
+//     distinct equality classes of c, so w is the closure entry c(a,b) and
+//     c(b,a) + w > ≤0 (only equal clocks close a zero cycle). c ⊆ d needs
+//     c(b,a) ≤ d(b,a), so d(b,a) + w ≤ ≤0 refutes it: d pins or reverses
+//     the difference x_a − x_b that c leaves open. The equality case
+//     (d pins x_a − x_b = w) is the common one on eviction-heavy models.
+//     Class-cycle constraints close zero cycles, so on them the test would
+//     refute true inclusions; they are skipped by count (c.cyc).
+//
+// Builds with the dbmcheck tag confirm every mirror refutation with the
+// shortest-path test and panic if the two disagree.
 func (c *Compact) SubsetOf(d *DBM, dMin *Compact, dist []Bound) bool {
-	n := c.n
-	if n != d.n || n != dMin.n {
+	n := int(c.n)
+	if n != d.n || n != int(dMin.n) {
 		panic("dbm: dimension mismatch in SubsetOf")
-	}
-	for _, cc := range c.cs {
-		if cc.B > d.m[int(cc.I)*n+int(cc.J)] {
-			return false
-		}
 	}
 	if c.isEmpty() {
 		return true
 	}
+	for k, cc := range c.cs {
+		i, j := int(cc.I), int(cc.J)
+		if cc.B > d.m[i*n+j] {
+			return false
+		}
+		if k >= int(c.cyc) && Add(d.m[j*n+i], cc.B) <= LEZero {
+			if shadowCheck && c.satisfies(dMin, dist) {
+				panic("dbm: mirror refutation in SubsetOf contradicts the shortest-path test")
+			}
+			return false
+		}
+	}
+	return c.satisfies(dMin, dist)
+}
+
+// satisfies reports whether the non-empty compact zone c satisfies every
+// constraint of dMin, i.e. whether c ⊆ zone(dMin): zone(dMin) is the
+// closure of the base constraints xj ≥ 0 and dMin's constraints, and every
+// zone satisfies the base constraints, so c ⊆ zone(dMin) iff for every
+// constraint (i, j, b) of dMin the shortest path i ⇝ j in c's constraint
+// graph — the base edges 0→j of weight ≤ 0 plus c's stored constraints —
+// is at most b. Each such path comes from one single-source relaxation over
+// those k + n edges (shortestFrom), kept in row i of dist for the other
+// constraints of dMin with the same source, so c's closure is never built.
+func (c *Compact) satisfies(dMin *Compact, dist []Bound) bool {
+	n := int(c.n)
 	dist = dist[:n*n]
 	for i := 0; i < n; i++ {
 		dist[i*n+i] = Infinity // row i not computed yet
@@ -420,7 +453,7 @@ func (c *Compact) shortestFrom(s int, row []Bound) {
 	}
 	row[s] = LEZero
 	base := Infinity // the value of row[0] last pushed along the base edges
-	for round, changed := 0, true; changed && round < c.n; round++ {
+	for round, changed := 0, true; changed && round < int(c.n); round++ {
 		changed = false
 		if row[0] < base {
 			base = row[0] // Add(base, LEZero) == base

@@ -3,6 +3,7 @@ package dbm
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // Property: Minimal → Inflate round-trips to an Equal canonical DBM, and
@@ -172,27 +173,110 @@ func emptyZone(n int) *DBM {
 	return d
 }
 
+// pinnedPair draws a stored zone and a newcomer that pins a clock
+// difference the stored zone leaves open: for a weak minimal constraint
+// x_a − x_b ≤ w between two equality classes, the newcomer is the zone
+// (as is, delayed, or with one clock freed) plus x_b − x_a ≤ −w. Pairs
+// where the newcomer tightens a stored bound are drawn again, so every
+// pair passes SubsetOf's forward check. That is the shape of most
+// eviction tests on Fischer's protocol.
+func pinnedPair(rng *rand.Rand, n int, gen func(*rand.Rand, int) *DBM) (oldZ, newZ *DBM) {
+	for {
+		oldZ = gen(rng, n)
+		c := oldZ.Minimal()
+		var open []Constraint
+		for _, cc := range c.cs {
+			if cc.B.IsWeak() && Add(cc.B, oldZ.At(int(cc.J), int(cc.I))) > LEZero {
+				open = append(open, cc)
+			}
+		}
+		if len(open) == 0 {
+			continue
+		}
+		newZ = oldZ.Clone()
+		switch rng.Intn(3) {
+		case 1:
+			newZ.Up()
+		case 2:
+			newZ.FreeClock(1 + rng.Intn(n-1))
+		}
+		pin := open[rng.Intn(len(open))]
+		if !newZ.Constrain(int(pin.J), int(pin.I), LE(-pin.B.Value())) {
+			panic("pinnedPair: pinning a bound the stored zone attains emptied the newcomer")
+		}
+		within := true
+		for _, cc := range c.cs {
+			within = within && cc.B <= newZ.At(int(cc.I), int(cc.J))
+		}
+		if within {
+			return oldZ, newZ
+		}
+	}
+}
+
 // Property: the eviction test SubsetOf agrees with Inflate + Includes over
 // random pairs at n = 2..8, at the sparse n = 66 that once needed a
-// full-inflate fallback, and with the empty-zone sentinel on either side.
+// full-inflate fallback, on pinned pairs, and with the empty-zone sentinel
+// on either side; a compact zone rebuilt by NewCompact answers the same.
+//
+// The mirror refutation must decide: a call that leaves dist untouched
+// never ran the shortest-path test, and if no stored constraint is looser
+// than the newcomer's entry, the mirror returned its false. It must decide
+// every pinned pair, and most of them in the equality case, where no
+// stored constraint has a strict mirror. A mirror that tested the class
+// cycles would refute true subsets here; one that refuted strictly only
+// would leave the equality cases to the shortest-path test. (Builds with
+// the dbmcheck tag run that test after every mirror refutation too, so
+// they check the answers only.)
 func TestSubsetOfAgreesWithInflateIncludes(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var dist []Bound
 	subsets, emptyOld, emptyNew := 0, 0, 0
-	check := func(trial int, oldZ, newZ *DBM) {
+	mirror, mirrorEq := 0, 0
+	check := func(trial int, oldZ, newZ *DBM) (byMirror bool) {
 		n := oldZ.Dim()
 		if len(dist) < n*n {
 			dist = make([]Bound, n*n)
 		}
 		cOld, cNew := oldZ.Minimal(), newZ.Minimal()
 		want := subsetRef(cOld, newZ)
-		if got := cOld.SubsetOf(newZ, cNew, dist); got != want {
+		dist[0] = LTZero // the shortest-path test overwrites it with Infinity
+		got := cOld.SubsetOf(newZ, cNew, dist)
+		if got != want {
 			t.Fatalf("trial %d (n=%d): SubsetOf=%v, Inflate+Includes=%v\nold: %s\nnew: %s",
 				trial, n, got, want, oldZ, newZ)
+		}
+		if !shadowCheck && dist[0] == LTZero && !got && !cOld.isEmpty() {
+			byMirror = true
+			equality := true
+			for k, cc := range cOld.cs {
+				i, j := int(cc.I), int(cc.J)
+				if cc.B > newZ.At(i, j) {
+					byMirror = false // the forward check may have decided
+				}
+				if k >= int(cOld.cyc) && Add(newZ.At(j, i), cc.B) < LEZero {
+					equality = false
+				}
+			}
+			if byMirror {
+				mirror++
+			}
+			if byMirror && equality {
+				mirrorEq++
+			}
+		}
+		back, err := NewCompact(n, cOld.AppendConstraints(nil))
+		if err != nil {
+			t.Fatalf("trial %d: NewCompact: %v", trial, err)
+		}
+		if rt := back.SubsetOf(newZ, cNew, dist); rt != got {
+			t.Fatalf("trial %d (n=%d): restored SubsetOf=%v, original %v\nold: %s\nnew: %s",
+				trial, n, rt, got, oldZ, newZ)
 		}
 		if want {
 			subsets++
 		}
+		return byMirror
 	}
 	for trial := 0; trial < 4000; trial++ {
 		n := 2 + rng.Intn(7)
@@ -211,11 +295,73 @@ func TestSubsetOfAgreesWithInflateIncludes(t *testing.T) {
 		oldZ, newZ := loosenedPair(rng, 66, sparseZone)
 		check(trial, oldZ, newZ)
 	}
+	const pinned = 1000
+	for trial := 0; trial < pinned; trial++ {
+		gen, n := randomZone, 2+rng.Intn(7)
+		if trial%4 == 0 {
+			gen, n = sparseZone, 66
+		}
+		oldZ, newZ := pinnedPair(rng, n, gen)
+		if !check(trial, oldZ, newZ) && !shadowCheck {
+			t.Fatalf("pinned trial %d (n=%d): the mirror did not decide\nold: %s\nnew: %s", trial, n, oldZ, newZ)
+		}
+	}
 	check(-1, emptyZone(66), sparseZone(rng, 66))
 	check(-2, sparseZone(rng, 66), emptyZone(66))
 	check(-3, emptyZone(4), emptyZone(4))
 	if subsets < 1000 || emptyOld == 0 || emptyNew == 0 {
 		t.Fatalf("vacuous: %d subsets, %d empty old, %d empty new", subsets, emptyOld, emptyNew)
+	}
+	if !shadowCheck && (mirrorEq < pinned/2 || mirror-mirrorEq < 25) {
+		t.Fatalf("the mirror decided %d pairs, %d of them in the equality case", mirror, mirrorEq)
+	}
+	t.Logf("mirror decided %d pairs (%d by equality)", mirror, mirrorEq)
+}
+
+// Property: NewCompact derives the class-cycle count Minimal records, on
+// zones of every shape the tests draw, including ones whose clocks all
+// sit in a few classes and the empty-zone sentinel; it rejects dimensions
+// and indices out of range.
+func TestNewCompactDerivesClassCycles(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	gens := []func(*rand.Rand, int) *DBM{randomZone, denseZone, plantShapedZone, sparseZone}
+	classed := 0
+	for trial := 0; trial < 4000; trial++ {
+		n := 2 + rng.Intn(9)
+		d := gens[trial%len(gens)](rng, n)
+		switch trial % 5 {
+		case 0:
+			d = Zero(n)
+			d.Up()
+		case 1:
+			d.Reset(1+rng.Intn(n-1), 0) // joins the class of x0
+		}
+		want := d.Minimal()
+		got, err := NewCompact(n, want.AppendConstraints(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.cyc != want.cyc || !got.Equal(want) {
+			t.Fatalf("trial %d: derived %d class-cycle constraints, Minimal recorded %d\nzone: %s\nconstraints: %v",
+				trial, got.cyc, want.cyc, d, want.cs)
+		}
+		if want.cyc > 0 {
+			classed++
+		}
+	}
+	if e, _ := NewCompact(4, emptyZone(4).Minimal().AppendConstraints(nil)); e.cyc != 0 {
+		t.Fatalf("empty-zone sentinel: derived %d class-cycle constraints, want 0", e.cyc)
+	}
+	for _, bad := range []struct {
+		n  int
+		cs []Constraint
+	}{{0, nil}, {1<<16 + 1, nil}, {3, []Constraint{{1, 3, LEZero}}}} {
+		if _, err := NewCompact(bad.n, bad.cs); err == nil {
+			t.Fatalf("NewCompact(%d, %v) accepted", bad.n, bad.cs)
+		}
+	}
+	if classed < 1000 {
+		t.Fatalf("vacuous: only %d zones had an equality class", classed)
 	}
 }
 
@@ -278,6 +424,14 @@ func TestMinimalEmptyZone(t *testing.T) {
 	}
 	if c.IncludesDBM(Zero(3)) {
 		t.Error("empty compact zone includes the zero zone")
+	}
+}
+
+// Compact stays a 32-byte header (the 32 in MemBytes): the class-cycle
+// count fits beside an int32 dimension.
+func TestCompactHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Compact{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Compact{}) = %d, want 32", got)
 	}
 }
 

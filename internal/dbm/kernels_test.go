@@ -92,7 +92,7 @@ func extrapolateLURef(d *DBM, lower, upper []int32, fullClose bool) bool {
 func minimalRef(r *Reducer, d *DBM) *Compact {
 	n := d.n
 	if d.IsEmpty() {
-		return &Compact{n: n, cs: []Constraint{{0, 0, LTZero}}}
+		return &Compact{n: int32(n), cs: []Constraint{{0, 0, LTZero}}}
 	}
 	buf := r.buf[:0]
 	if cap(r.rep) < n {
@@ -130,6 +130,7 @@ func minimalRef(r *Reducer, d *DBM) *Compact {
 			}
 		}
 	}
+	cyc := len(buf)
 	reps := members[:0]
 	for i := 0; i < n; i++ {
 		if rep[i] == i {
@@ -168,7 +169,7 @@ func minimalRef(r *Reducer, d *DBM) *Compact {
 	r.buf = buf
 	cs := make([]Constraint, len(buf))
 	copy(cs, buf)
-	return &Compact{n: n, cs: cs}
+	return &Compact{n: int32(n), cyc: int32(cyc), cs: cs}
 }
 
 // denseZone is a random canonical zone with about 3n operations applied
@@ -406,9 +407,9 @@ func TestExtrapolateLUMatchesReference(t *testing.T) {
 }
 
 // Property: Reducer.Minimal over finite entries emits exactly the
-// reference's constraints in the same order, with one reducer reused
-// across dimensions, including ones past 64 where a row's bitset spans
-// several words.
+// reference's constraints in the same order, and the same class-cycle
+// count, with one reducer reused across dimensions, including ones past
+// 64 where a row's bitset spans several words.
 func TestMinimalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(154))
 	var r, ref Reducer
@@ -426,8 +427,9 @@ func TestMinimalMatchesReference(t *testing.T) {
 		default:
 			d = sparseZone(rng, n)
 		}
-		if got, want := r.Minimal(d), minimalRef(&ref, d); !got.Equal(want) {
-			t.Fatalf("trial %d: Minimal diverges\nzone %s\ngot  %v\nwant %v", trial, d, got.cs, want.cs)
+		if got, want := r.Minimal(d), minimalRef(&ref, d); !got.Equal(want) || got.cyc != want.cyc {
+			t.Fatalf("trial %d: Minimal diverges\nzone %s\ngot  %v (%d cycle constraints)\nwant %v (%d)",
+				trial, d, got.cs, got.cyc, want.cs, want.cyc)
 		}
 	}
 	if got, want := r.Minimal(emptyZone(7)), minimalRef(&ref, emptyZone(7)); !got.Equal(want) {

@@ -36,3 +36,22 @@ func TestShadowCheckPanicsOnUnmarkedRaise(t *testing.T) {
 	}()
 	d.closeRaised(s)
 }
+
+// The mirror shadow check must really be compiled in: with the class
+// cycles miscounted, the mirror tests a zero-cycle edge and refutes a
+// zone's inclusion in itself, and SubsetOf must panic.
+func TestShadowCheckPanicsOnFalseMirror(t *testing.T) {
+	z := Zero(3) // one class {x0, x1, x2}: every constraint is a cycle edge
+	good := z.Minimal()
+	bad := &Compact{n: good.n, cs: good.cs} // cyc 0: no cycle edges skipped
+	dist := make([]Bound, 9)
+	if !good.SubsetOf(z, good, dist) {
+		t.Fatal("the zero zone is not a subset of itself")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SubsetOf accepted a mirror refutation the shortest-path test contradicts")
+		}
+	}()
+	bad.SubsetOf(z, good, dist)
+}

@@ -8,7 +8,7 @@ import (
 // inflateFullClose is InflateInto re-canonicalizing with the full Close:
 // the reference for the pivot-restricted closure.
 func inflateFullClose(c *Compact, d *DBM) bool {
-	n := c.n
+	n := int(c.n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == 0 || i == j {
@@ -44,7 +44,7 @@ func TestInflateIntoPartialAgreesWithFullClose(t *testing.T) {
 			}
 			continue
 		}
-		c := &Compact{n: n}
+		c := &Compact{n: int32(n)}
 		for k := rng.Intn(2 * n); k >= 0; k-- {
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i != j {

@@ -45,9 +45,11 @@ func (c *Compact) AppendConstraints(dst []Constraint) []Constraint {
 // AppendConstraints reproduces the original Compact bit-identically.
 // Constraint indices are validated against the dimension (a corrupt
 // checkpoint must not be able to index out of range during InflateInto).
+// The class-cycle count that SubsetOf's mirror refutation needs is not
+// serialized; leadingCycles derives it from the constraints.
 func NewCompact(n int, cs []Constraint) (*Compact, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dbm: NewCompact dimension must be >= 1, got %d", n)
+	if n < 1 || n > 1<<16 {
+		return nil, fmt.Errorf("dbm: NewCompact dimension must be in [1, 65536], got %d", n)
 	}
 	for _, cc := range cs {
 		if int(cc.I) >= n || int(cc.J) >= n {
@@ -56,5 +58,39 @@ func NewCompact(n int, cs []Constraint) (*Compact, error) {
 	}
 	cp := make([]Constraint, len(cs))
 	copy(cp, cs)
-	return &Compact{n: n, cs: cp}, nil
+	return &Compact{n: int32(n), cyc: int32(leadingCycles(cp)), cs: cp}, nil
+}
+
+// leadingCycles returns how many leading constraints of a minimal form are
+// class cycles, the count Minimal records as Compact.cyc.
+//
+// For each equality class m0 < m1 < … < mk, in ascending order of m0,
+// Minimal's phase 1 emits the chain (m0,m1), …, (m(k-1),mk) and the
+// closing edge (mk,m0), leaving out (0,m1) when it is the base bound ≤ 0.
+// The clocks of a class differ by constants, so its edges sum to exactly
+// ≤ 0 (counting a left-out base edge as ≤ 0). The prefix is therefore
+// parsed as cycles: an ascending contiguous chain closed by a descending
+// edge back to the chain's start, or to 0 when the base edge 0→start was
+// left out, weighing exactly ≤ 0. The parse stops at phase 2: its
+// constraints are closure entries between distinct class representatives,
+// and any cycle through two distinct classes weighs more than ≤ 0.
+func leadingCycles(cs []Constraint) int {
+	end := 0
+	for end < len(cs) {
+		start, at, sum := cs[end].I, cs[end].I, LEZero
+		k := end
+		for ; k < len(cs) && cs[k].I == at && cs[k].J > at; k++ {
+			sum = Add(sum, cs[k].B)
+			at = cs[k].J
+		}
+		if k == len(cs) {
+			break
+		}
+		last := cs[k]
+		if last.I != at || last.J >= at || (last.J != start && last.J != 0) || Add(sum, last.B) != LEZero {
+			break
+		}
+		end = k + 1
+	}
+	return end
 }

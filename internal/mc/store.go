@@ -278,12 +278,14 @@ const compactEntryOverhead = 24
 // path checks the newcomer's row 0 once and then costs O(constraints) per
 // stored entry: the Minimal() reduction and the eviction scan run only for
 // states that survive it (by the antichain argument on mapStore.add,
-// rejected candidates never evict). The eviction pass tests old ⊆ new
-// against the constraints of Minimal(new), one shortest path in old's
-// constraint graph each (Compact.SubsetOf). RowMask inclusion is a necessary
-// condition for it — each of those paths leaves its source row through a
-// stored edge of old (see Compact.RowMask for why no column analogue
-// exists) — so SubsetOf runs only when the masks allow a subset.
+// rejected candidates never evict). The eviction pass tests old ⊆ new with
+// Compact.SubsetOf: two O(k) refutations from old's stored constraints
+// (forward and mirror) and, for the few candidates that survive them, one
+// shortest path in old's constraint graph per constraint of Minimal(new).
+// RowMask inclusion is a necessary condition for old ⊆ new — each of those
+// paths leaves its source row through a stored edge of old (see
+// Compact.RowMask for why no column analogue exists) — so SubsetOf runs
+// only when the masks allow a subset.
 func (p *compactStore) add(key []byte, n *node) bool {
 	b := p.bucketOf(key, n)
 	if p.inclusion {

@@ -237,6 +237,41 @@ func TestReadHeaderBoundsSectionLength(t *testing.T) {
 	}
 }
 
+// FuzzReadHeader: ReadHeader on arbitrary file contents never panics and
+// fails only with the package's sentinel errors. It skips the footer hash
+// that Decode checks, so wherever Decode succeeds it must succeed too,
+// with the header Decode read. Encoded checkpoints seed the corpus.
+func FuzzReadHeader(f *testing.F) {
+	for _, cp := range []*Checkpoint{sampleCheckpoint(), extremeCheckpoint(), randomCheckpoint(rand.New(rand.NewSource(1)))} {
+		data, err := cp.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadHeader(path)
+		if err != nil && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadHeader error %v is none of the sentinels", err)
+		}
+		cp, derr := Decode(data)
+		if derr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Decode reads the checkpoint but ReadHeader fails: %v", err)
+		}
+		want := &Header{ModelSHA: cp.ModelSHA, Options: cp.Options, Meta: cp.Meta, Final: cp.Final}
+		if !reflect.DeepEqual(h, want) {
+			t.Fatalf("ReadHeader = %+v, Decode read %+v", h, want)
+		}
+	})
+}
+
 func TestDecodeRejectsBadIndices(t *testing.T) {
 	for name, mutate := range map[string]func(*Checkpoint){
 		"store-oob":    func(cp *Checkpoint) { cp.Store = []int32{99} },
