@@ -16,12 +16,6 @@
 //	mcbench                # full suite, writes BENCH_mc.json
 //	mcbench -short         # CI smoke suite (seconds, small instances)
 //	mcbench -out bench.json
-//
-// With -serve-url it instead load-tests a running mcserved (cmd/mcserved):
-// concurrent clients POST a small model mix and the observed p50/p99
-// latency plus cache hit rate are written to BENCH_serve.json:
-//
-//	mcbench -serve-url http://localhost:8080 -clients 8 -requests 200
 package main
 
 import (
@@ -127,50 +121,8 @@ func main() {
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile (after the suite) to this file")
 		minTimeRatio = flag.Float64("min-time-ratio", 0, "fail (exit 1) if any case's compact time_ratio falls below this floor — the CI regression guard")
-
-		fleet        = flag.Bool("fleet", false, "fleet re-synthesis mode: warm-vs-cold benchmark (plus an HTTP leg when -serve-url is set), writes -fleet-out")
-		fleetPlants  = flag.Int("fleet-plants", 6, "fleet mode: simulated plants streaming disturbances")
-		fleetRounds  = flag.Int("fleet-rounds", 2, "fleet mode: disturbance/re-synthesis rounds per plant")
-		fleetBatches = flag.Int("fleet-batches", 2, "fleet mode: batches per plant instance")
-		fleetOut     = flag.String("fleet-out", "BENCH_fleet.json", "fleet mode: output JSON path")
-
-		serveURL    = flag.String("serve-url", "", "load-generator mode: benchmark a running mcserved at this base URL instead of the engine suite")
-		clients     = flag.Int("clients", 8, "load-generator concurrent clients")
-		requests    = flag.Int("requests", 200, "load-generator total requests")
-		serveModels = flag.Int("serve-models", 4, "load-generator distinct models in the request mix")
-		serveOut    = flag.String("serve-out", "BENCH_serve.json", "load-generator output JSON path")
-		ckptEvery   = flag.Duration("checkpoint-interval", 0, "load-generator: the server's job-checkpoint cadence (its -checkpoint-every value), recorded in BENCH_serve.json so durability-enabled serve benchmarks are labeled")
 	)
 	flag.Parse()
-
-	if *fleet {
-		if err := runFleet(fleetConfig{
-			serveURL: *serveURL,
-			plants:   *fleetPlants,
-			rounds:   *fleetRounds,
-			batches:  *fleetBatches,
-			out:      *fleetOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "mcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveURL != "" {
-		if err := runLoadGen(loadGenConfig{
-			url:        *serveURL,
-			clients:    *clients,
-			requests:   *requests,
-			models:     *serveModels,
-			out:        *serveOut,
-			checkpoint: *ckptEvery,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "mcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	suite := fullSuite()
 	if *short {

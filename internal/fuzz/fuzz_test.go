@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/plant"
 	"guidedta/internal/ta"
 	"guidedta/internal/tadsl"
 )
@@ -243,5 +244,72 @@ func TestPlantSweepSmall(t *testing.T) {
 	}
 	for _, p := range RunPlantSweep(1, mc.DefaultOptions(mc.DFS), nil) {
 		t.Errorf("%v", p)
+	}
+}
+
+// TestWarmResynthesis: the 2-batch all-guides plant is synthesized once
+// with its final checkpoint kept, and each disturbance is then
+// re-synthesized cold and warm-started from that seed. Every warm run must
+// find a schedule that replays on the unguided model of the disturbed
+// plant, and the Section 6 wear must be solved from the seed with at most
+// half the cold run's explored states.
+func TestWarmResynthesis(t *testing.T) {
+	build := func(p plant.Params, g plant.GuideLevel) *plant.Plant {
+		pl, err := plant.Build(plant.Config{Qualities: plant.CycleQualities(2), Guides: g, Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	options := func(p *plant.Plant) mc.Options {
+		opts := mc.DefaultOptions(mc.DFS)
+		opts.Observer = &mc.FuncObserver{Priority: p.Priority}
+		return opts
+	}
+	seed := filepath.Join(t.TempDir(), "base.ckpt")
+	base := build(plant.DefaultParams(), plant.AllGuides)
+	opts := options(base)
+	opts.Checkpoint = mc.CheckpointOptions{Path: seed, KeepFinal: true}
+	if res, err := mc.Explore(base.Sys, base.Goal, opts); err != nil || !res.Found {
+		t.Fatalf("base synthesis: found=%v err=%v", res.Found, err)
+	}
+
+	deadline, treatB := plant.DefaultParams(), plant.DefaultParams()
+	deadline.Deadline -= 10
+	treatB.TreatB += 3
+	for _, c := range []struct {
+		name   string
+		params plant.Params
+		halves bool // warm explored <= cold explored / 2
+	}{
+		{"wear", wornParams(), true},
+		{"deadline-10", deadline, false},
+		{"treatB+3", treatB, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := build(c.params, plant.AllGuides)
+			cold, err := mc.Explore(p.Sys, p.Goal, options(p))
+			if err != nil || !cold.Found {
+				t.Fatalf("cold: found=%v err=%v", cold.Found, err)
+			}
+			wopts := options(p)
+			wopts.WarmStart = mc.WarmStartOptions{Path: seed}
+			warm, err := mc.Explore(p.Sys, p.Goal, wopts)
+			if err != nil || !warm.WarmStarted || !warm.Found {
+				t.Fatalf("warm: started=%v found=%v err=%v", warm.WarmStarted, warm.Found, err)
+			}
+			unguided := build(c.params, plant.NoGuides)
+			mapped, err := plant.MapTrace(p.Sys, unguided.Sys, warm.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
+				t.Fatalf("warm schedule fails the unguided replay: %v", err)
+			}
+			if c.halves && warm.Stats.StatesExplored > cold.Stats.StatesExplored/2 {
+				t.Errorf("warm explored %d states, cold %d: less than a 2x saving",
+					warm.Stats.StatesExplored, cold.Stats.StatesExplored)
+			}
+		})
 	}
 }

@@ -35,7 +35,11 @@ type CheckpointOptions struct {
 	// Resume seeds the search from an existing checkpoint at Path instead
 	// of the initial state. A missing file falls back to a fresh start; a
 	// corrupt, truncated, version-mismatched, or wrong-model/wrong-options
-	// checkpoint fails the run with an error wrapping ErrResume.
+	// checkpoint fails the run with an error wrapping ErrResume. The
+	// options check ignores the run limits (MaxStates, MaxMemory,
+	// Timeout): a checkpoint left by a limit abort resumes under a higher
+	// limit or none. MaxStates counts the states explored before the
+	// interruption too; Timeout runs from the resumed run's start.
 	Resume bool
 	// ModelSHA, when set, is recorded in checkpoints and verified on
 	// resume — the canonical model digest (tadsl.Hash) of the layer that
@@ -177,13 +181,32 @@ func (ck *checkpointer) load() (*snapshot.Checkpoint, error) {
 	if sha := ck.opts.Checkpoint.ModelSHA; sha != "" && cp.ModelSHA != "" && sha != cp.ModelSHA {
 		return nil, fmt.Errorf("%w: checkpoint is for model sha256 %s, this run is %s", ErrResume, cp.ModelSHA, sha)
 	}
-	if !bytes.Equal(cp.Options, ck.canon) {
+	if !bytes.Equal(withoutLimits(cp.Options), withoutLimits(ck.canon)) {
 		return nil, fmt.Errorf("%w: checkpoint options %s differ from this run's %s", ErrResume, cp.Options, ck.canon)
 	}
 	if cp.Final {
 		return nil, fmt.Errorf("%w: checkpoint is a completed search's final snapshot (KeepFinal) — a warm-start seed, not a resume point", ErrResume)
 	}
 	return cp, nil
+}
+
+// withoutLimits is the resume identity of a canonical options encoding:
+// the same options with the state, memory and time limits cleared. The
+// limits bound a run without changing what it explores, so a run aborted
+// at one limit may resume under another or none. It returns nil for bytes
+// that do not decode; a run's own encoding always decodes, so nil never
+// matches it.
+func withoutLimits(canon []byte) []byte {
+	var o Options
+	if err := o.UnmarshalJSON(canon); err != nil {
+		return nil
+	}
+	o.MaxStates, o.MaxMemory, o.Timeout = 0, 0, 0
+	b, err := o.MarshalJSON()
+	if err != nil {
+		return nil
+	}
+	return b
 }
 
 // captureState assembles a Checkpoint from a quiesced search: every store

@@ -181,6 +181,57 @@ func TestCheckpointParallelResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeAfterStateLimit: a checkpoint left by a MaxStates
+// abort resumes with the limit lifted — the limits are not part of the
+// resume identity — and the resumed run ends exactly as an uninterrupted
+// one: verdict, trace, and the explored, stored and eviction counters. The
+// safe Fischer-5 instance is exhaustive and evicts; the broken one ends
+// with a witness.
+func TestCheckpointResumeAfterStateLimit(t *testing.T) {
+	for _, safe := range []bool{true, false} {
+		sys, goal := fischerModel(t, 5, safe)
+		opts := mc.DefaultOptions(mc.BFS)
+		ref, err := mc.Explore(sys, goal, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Found == safe || ref.Stats.StatesExplored < 20 {
+			t.Fatalf("safe=%v: reference found=%v after %d states", safe, ref.Found, ref.Stats.StatesExplored)
+		}
+
+		path := filepath.Join(t.TempDir(), "limit.ckpt")
+		sys, goal = fischerModel(t, 5, safe)
+		opts.Checkpoint = mc.CheckpointOptions{Path: path, Resume: true}
+		opts.MaxStates = ref.Stats.StatesExplored / 2
+		res1, err := mc.Explore(sys, goal, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res1.Abort != mc.AbortStates {
+			t.Fatalf("safe=%v: limited run aborted %q, want %q", safe, res1.Abort, mc.AbortStates)
+		}
+
+		sys, goal = fischerModel(t, 5, safe)
+		opts.MaxStates = 0
+		res2, err := mc.Explore(sys, goal, opts)
+		if err != nil {
+			t.Fatalf("safe=%v: resume without the limit: %v", safe, err)
+		}
+		if !res2.Resumed {
+			t.Fatalf("safe=%v: second run did not resume from the checkpoint", safe)
+		}
+		if res2.Found != ref.Found || !reflect.DeepEqual(res2.Trace, ref.Trace) {
+			t.Fatalf("safe=%v: resumed found=%v with %d transitions, reference found=%v with %d",
+				safe, res2.Found, len(res2.Trace), ref.Found, len(ref.Trace))
+		}
+		got := [3]int64{int64(res2.Stats.StatesExplored), int64(res2.Stats.StatesStored), res2.Stats.Evictions}
+		want := [3]int64{int64(ref.Stats.StatesExplored), int64(ref.Stats.StatesStored), ref.Stats.Evictions}
+		if got != want {
+			t.Fatalf("safe=%v: resumed explored/stored/evictions %v, reference %v", safe, got, want)
+		}
+	}
+}
+
 // TestCheckpointPeriodicInterval runs an exhaustive search with a short
 // checkpoint cadence: ticked writes must not perturb the result, and the
 // completed run must clean its file up.

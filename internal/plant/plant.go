@@ -95,7 +95,7 @@ func DefaultParams() Params {
 // duration must be positive (a zero-time crane move or treatment would
 // let the model teleport batches) except TurnTime, where zero just means
 // the caster tolerates no ladle-swap slack. Callers overlaying measured
-// disturbances onto DefaultParams (the serve API, the fleet driver)
+// disturbances onto DefaultParams (the serve API)
 // validate before building, so a bad measurement fails the request
 // instead of synthesizing a schedule for an impossible plant.
 func (p Params) Validate() error {
