@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"guidedta/internal/cliutil"
 	"guidedta/internal/fuzz"
 	"guidedta/internal/mc"
 )
@@ -47,7 +46,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	order, err := cliutil.ParseSearch(*search)
+	order, err := mc.ParseSearchOrder(*search)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcfuzz:", err)
 		os.Exit(2)

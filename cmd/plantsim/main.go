@@ -56,10 +56,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if opts.Search == mc.BestTime {
-		opts.TimeClock = p.GlobalClock
-		opts.TimeHorizon = cfg.TimeHorizon()
-	}
 	rep := sf.Instrument("plantsim", fmt.Sprintf("%d batches, %s timing", *batches, timingName(*resynth, *wear)),
 		&opts, p.Sys, &p.Goal)
 

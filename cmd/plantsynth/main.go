@@ -81,10 +81,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if opts.Search == mc.BestTime {
-		opts.TimeClock = p.GlobalClock
-		opts.TimeHorizon = cfg.TimeHorizon()
-	}
 	rep := sf.Instrument("plantsynth", fmt.Sprintf("%d batches, %s guides", len(cfg.Qualities), guides),
 		&opts, p.Sys, &p.Goal)
 

@@ -115,17 +115,11 @@ func AddSearchFlags(fs *flag.FlagSet, def mc.Options, omit ...string) *SearchFla
 	return f
 }
 
-// ParseSearch maps a flag value to a search order. It is a thin alias of
-// mc.ParseSearchOrder, kept so the flag block stays self-contained.
-func ParseSearch(s string) (mc.SearchOrder, error) {
-	return mc.ParseSearchOrder(s)
-}
-
 // Options converts the parsed flag block to engine options (profiling is
 // enabled when detailed stats or a report were requested, so both have the
 // full counters).
 func (f *SearchFlags) Options() (mc.Options, error) {
-	order, err := ParseSearch(f.Search)
+	order, err := mc.ParseSearchOrder(f.Search)
 	if err != nil {
 		return mc.Options{}, err
 	}

@@ -186,7 +186,7 @@ func (h *Harness) CheckModel(caseNo int, sys *ta.System, goal mc.Goal) []*Proble
 			})
 		}
 		if res.Found {
-			if err := CheckTrace(sys, goal, res.Trace); err != nil {
+			if err := mc.CheckTrace(sys, goal, res.Trace); err != nil {
 				problems = append(problems, &Problem{
 					Kind: "trace", Case: caseNo, Config: cfg.Name,
 					Detail: err.Error(),
@@ -218,43 +218,11 @@ func (h *Harness) CheckModel(caseNo int, sys *ta.System, goal mc.Goal) []*Proble
 	return problems
 }
 
-// CheckTrace is the witness-trace contract, chained through the engine's
-// independent checkers: the trace must replay discretely, end in a state
-// satisfying the goal, concretize to absolute firing times, pass the
-// timing validator, and — the urgency audit — never schedule a positive
-// delay out of a state that forbids delay.
+// CheckTrace forwards to mc.CheckTrace, the witness-trace contract. It
+// is kept only for the benchmark harness in perfbench/, which calls it by
+// this name; everything else calls mc.CheckTrace.
 func CheckTrace(sys *ta.System, goal mc.Goal, trace []mc.Transition) error {
-	locsAt, envAt, err := mc.ReplayDiscrete(sys, trace)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	last := len(locsAt) - 1
-	if !goal.Deadlock && !goal.Satisfied(locsAt[last], envAt[last]) {
-		return fmt.Errorf("replay: final state does not satisfy the goal")
-	}
-	// ConcretizeFine rather than Concretize: generated models use strict
-	// guards freely, and chains of strict bounds legitimately need a grid
-	// finer than half units.
-	steps, denom, err := mc.ConcretizeFine(sys, trace)
-	if err != nil {
-		return fmt.Errorf("concretize: %w", err)
-	}
-	if err := mc.ValidateConcreteAt(sys, steps, denom); err != nil {
-		return fmt.Errorf("validate: %w", err)
-	}
-	prev := int64(0)
-	for i, st := range steps {
-		if st.Time < prev {
-			return fmt.Errorf("concretize: time regresses at step %d (%s < %s)",
-				i, mc.TimeStringAt(st.Time, denom), mc.TimeStringAt(prev, denom))
-		}
-		if mc.NoDelayAt(sys, locsAt[i], envAt[i]) && st.Time != prev {
-			return fmt.Errorf("urgency: step %d fires at %s but its source state forbids delay since %s",
-				i, mc.TimeStringAt(st.Time, denom), mc.TimeStringAt(prev, denom))
-		}
-		prev = st.Time
-	}
-	return nil
+	return mc.CheckTrace(sys, goal, trace)
 }
 
 // Run generates and checks `cases` specs from the given seed, shrinking

@@ -144,6 +144,31 @@ func TestTraceMutationCaught(t *testing.T) {
 	}
 }
 
+// A mutant that swaps the sender and receiver of a synchronization keeps
+// every source location and guard intact; only the legal-step rule's
+// send/receive pairing can catch it.
+func TestSyncSwapMutationCaught(t *testing.T) {
+	broken := func(sys *ta.System, goal mc.Goal, opts mc.Options) (mc.Result, error) {
+		res, err := mc.Explore(sys, goal, opts)
+		if err != nil || !opts.Compact || !res.Found {
+			return res, err
+		}
+		res.Trace = append([]mc.Transition(nil), res.Trace...)
+		for i, tr := range res.Trace {
+			if !tr.Internal() {
+				res.Trace[i].A1, res.Trace[i].E1, res.Trace[i].A2, res.Trace[i].E2 = tr.A2, tr.E2, tr.A1, tr.E1
+				break
+			}
+		}
+		return res, err
+	}
+	h := &Harness{Explore: broken}
+	problems := h.Run(1, 15, nil)
+	if !problemOfKind(problems, "trace") {
+		t.Fatalf("sender/receiver swap not caught (got %d problems)", len(problems))
+	}
+}
+
 func problemOfKind(ps []*Problem, kind string) bool {
 	for _, p := range ps {
 		if p.Kind == kind {
@@ -303,7 +328,7 @@ func TestWarmResynthesis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
+			if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
 				t.Fatalf("warm schedule fails the unguided replay: %v", err)
 			}
 			if c.halves && warm.Stats.StatesExplored > cold.Stats.StatesExplored/2 {

@@ -18,7 +18,7 @@
 // guide set is a schedule of the unguided model — and is additionally
 // spot-checked: every found schedule is re-indexed onto the unguided
 // model (plant.MapTrace) and replayed through the full witness-trace
-// contract (fuzz.CheckTrace).
+// contract (mc.CheckTrace).
 package guide
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"guidedta/internal/fuzz"
 	"guidedta/internal/mc"
 	"guidedta/internal/plant"
 )
@@ -28,8 +27,8 @@ import (
 //     worsen the score, preferring minimal guide sets.
 //
 // Every schedule-finding probe is immediately cross-checked by replaying
-// its trace on the unguided model through the fuzz witness-trace
-// contract; a replay failure aborts the search with an error (it would
+// its trace on the unguided model through the witness-trace contract
+// (mc.CheckTrace); a replay failure aborts the search with an error (it would
 // mean the builder's restriction-only invariant is broken).
 //
 // Searches are deterministic: identical cfg, portfolio, budget, and seed
@@ -316,7 +315,7 @@ func (s *searcher) replay(p *plant.Plant, ev *Evaluation) error {
 	if err != nil {
 		return fmt.Errorf("guide: mapping %s trace onto unguided model: %w", ev.Guides, err)
 	}
-	if err := fuzz.CheckTrace(s.unguided.Sys, s.unguided.Goal, mapped); err != nil {
+	if err := mc.CheckTrace(s.unguided.Sys, s.unguided.Goal, mapped); err != nil {
 		return fmt.Errorf("guide: soundness violation — %s schedule does not replay unguided: %w", ev.Guides, err)
 	}
 	ev.Replayed = true

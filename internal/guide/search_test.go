@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"guidedta/internal/fuzz"
 	"guidedta/internal/mc"
 	"guidedta/internal/plant"
 )
@@ -145,7 +144,7 @@ func TestMapTraceReplaysGuidedScheduleUnguided(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MapTrace: %v", err)
 	}
-	if err := fuzz.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
+	if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
 		t.Fatalf("guided schedule does not replay on the unguided model: %v", err)
 	}
 }

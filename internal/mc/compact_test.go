@@ -73,7 +73,7 @@ func TestCompactMatchesDefaultExactly(t *testing.T) {
 					if cmp.Stats.StatesStored > 0 && cmp.Stats.AvgZoneConstraints <= 0 {
 						t.Error("AvgZoneConstraints not populated by the compact store")
 					}
-					checkTrace(t, sys, cmp)
+					checkTrace(t, sys, goal, cmp)
 				})
 			}
 		}
@@ -112,7 +112,7 @@ func TestCompactParallelMatchesSequential(t *testing.T) {
 					if par.Abort != mc.AbortNone {
 						t.Fatalf("workers=%d: unexpected abort %q", w, par.Abort)
 					}
-					checkTrace(t, sys, par)
+					checkTrace(t, sys, goal, par)
 				}
 			})
 		}
@@ -266,7 +266,7 @@ func TestCompactStress(t *testing.T) {
 			t.Fatalf("seed %d (workers=%d, %v): compact parallel found=%v, sequential found=%v",
 				seed, parOpts.Workers, order, par.Found, seq.Found)
 		}
-		checkTrace(t, sys, par)
+		checkTrace(t, sys, goal, par)
 	}
 }
 

@@ -186,7 +186,7 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 			// replays to reuse), and try the seeded goal states as instant
 			// witnesses via full replay on this model.
 			if warm = warmSeed(c, s.store, goal); warm != nil {
-				res.WarmStarted = true
+				res.WarmStarted = len(warm.seeded) > 0
 				d.queue(warm.frontier)
 				for i, g := range warm.goals {
 					if i >= warmReplayCap {

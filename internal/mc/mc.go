@@ -271,11 +271,12 @@ type Result struct {
 	// resumed segments.
 	Resumed bool
 	// WarmStarted reports that the search was seeded from another model's
-	// checkpoint (Options.WarmStart with a loadable snapshot). A positive
-	// verdict is replay-validated and as trustworthy as a cold one; a
-	// negative verdict is advisory — seeded states can subsume states the
-	// new model would otherwise have explored — and callers that must trust
-	// "not found" should rerun cold.
+	// checkpoint: Options.WarmStart named a loadable snapshot and at least
+	// one of its states survived re-validation (Stats.WarmSeeded > 0). A
+	// positive verdict is replay-validated and as trustworthy as a cold
+	// one; a negative verdict is advisory — seeded states can subsume
+	// states the new model would otherwise have explored — and callers
+	// that must trust "not found" should rerun cold.
 	WarmStarted bool
 }
 

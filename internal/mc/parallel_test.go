@@ -136,22 +136,18 @@ func jobshopModel(t testing.TB) (*ta.System, mc.Goal) {
 	return sys, mc.Goal{Desc: "all jobs finished", Expr: expr.MustParse("done == 3", sys.Table)}
 }
 
-// checkTrace asserts that a found trace replays discretely and
-// concretizes to timestamps satisfying every timing constraint.
-func checkTrace(t *testing.T, sys *ta.System, res mc.Result) {
+// checkTrace asserts that a found trace passes the witness-trace contract
+// and concretizes on the half-unit grid.
+func checkTrace(t *testing.T, sys *ta.System, goal mc.Goal, res mc.Result) {
 	t.Helper()
 	if !res.Found {
 		return
 	}
-	if _, _, err := mc.ReplayDiscrete(sys, res.Trace); err != nil {
-		t.Fatalf("trace does not replay: %v", err)
+	if err := mc.CheckTrace(sys, goal, res.Trace); err != nil {
+		t.Fatalf("trace fails the contract: %v", err)
 	}
-	steps, err := mc.Concretize(sys, res.Trace)
-	if err != nil {
-		t.Fatalf("trace does not concretize: %v", err)
-	}
-	if err := mc.ValidateConcrete(sys, steps); err != nil {
-		t.Fatalf("concretized trace invalid: %v", err)
+	if _, err := mc.Concretize(sys, res.Trace); err != nil {
+		t.Fatalf("trace does not concretize on the half-unit grid: %v", err)
 	}
 }
 
@@ -195,7 +191,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if par.Abort != mc.AbortNone {
 						t.Fatalf("workers=%d: unexpected abort %q", w, par.Abort)
 					}
-					checkTrace(t, sys, par)
+					checkTrace(t, sys, goal, par)
 				}
 			})
 		}
@@ -303,7 +299,7 @@ func TestParallelStress(t *testing.T) {
 			t.Fatalf("seed %d (workers=%d, %v): parallel found=%v, sequential found=%v",
 				seed, parOpts.Workers, order, par.Found, seq.Found)
 		}
-		checkTrace(t, sys, par)
+		checkTrace(t, sys, goal, par)
 	}
 }
 
@@ -404,7 +400,7 @@ func TestParallelFallbackOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Found {
-		checkTrace(t, sys, res)
+		checkTrace(t, sys, goal, res)
 	}
 }
 

@@ -94,10 +94,16 @@ func Concretize(sys *ta.System, trace []Transition) ([]ConcreteStep, error) {
 // denom == Half exactly when Concretize would succeed. An error means the
 // trace is genuinely inconsistent over dense time.
 func ConcretizeFine(sys *ta.System, trace []Transition) ([]ConcreteStep, int64, error) {
-	cons, err := traceConstraints(sys, trace)
+	cons, _, _, err := replay(sys, trace, false)
 	if err != nil {
 		return nil, 0, err
 	}
+	return schedule(trace, cons)
+}
+
+// schedule solves a replay's difference constraints for the earliest
+// firing times of trace.
+func schedule(trace []Transition, cons []diffConstraint) ([]ConcreteStep, int64, error) {
 	times, scale, err := solveDifferenceConstraints(len(trace), cons)
 	if err != nil {
 		return nil, 0, err
@@ -121,18 +127,24 @@ func ValidateConcrete(sys *ta.System, steps []ConcreteStep) error {
 // 1/denom time units (denom a positive multiple of Half), as produced by
 // ConcretizeFine.
 func ValidateConcreteAt(sys *ta.System, steps []ConcreteStep, denom int64) error {
-	if denom <= 0 || denom%Half != 0 {
-		return fmt.Errorf("mc: time denominator %d is not a positive multiple of %d", denom, Half)
-	}
-	scale := denom / Half
 	trace := make([]Transition, len(steps))
 	for i, s := range steps {
 		trace[i] = s.Trans
 	}
-	cons, err := traceConstraints(sys, trace)
+	cons, _, _, err := replay(sys, trace, false)
 	if err != nil {
 		return err
 	}
+	return checkTimes(cons, steps, denom)
+}
+
+// checkTimes checks concrete firing times in 1/denom time units against
+// a replay's difference constraints.
+func checkTimes(cons []diffConstraint, steps []ConcreteStep, denom int64) error {
+	if denom <= 0 || denom%Half != 0 {
+		return fmt.Errorf("mc: time denominator %d is not a positive multiple of %d", denom, Half)
+	}
+	scale := denom / Half
 	times := make([]int64, len(steps)+1)
 	for i, s := range steps {
 		times[i+1] = s.Time
@@ -147,11 +159,100 @@ func ValidateConcreteAt(sys *ta.System, steps []ConcreteStep, denom int64) error
 	return nil
 }
 
-// traceConstraints replays the discrete path of a trace and collects the
-// difference constraints over transition firing times.
-func traceConstraints(sys *ta.System, trace []Transition) ([]diffConstraint, error) {
+// CheckTrace is the witness-trace contract: the trace must replay from
+// the initial state under the legal-step rule (checkStep), end in a state
+// satisfying the goal, concretize to absolute firing times, pass the
+// timing validator, and — the urgency audit — never schedule a positive
+// delay out of a state that forbids delay. It replays the trace once and
+// shares no code with the search's successor enumeration, so it checks
+// the engine's traces independently of the code that found them.
+func CheckTrace(sys *ta.System, goal Goal, trace []Transition) error {
+	cons, locsAt, envAt, err := replay(sys, trace, true)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	last := len(locsAt) - 1
+	if !goal.Deadlock && !goal.Satisfied(locsAt[last], envAt[last]) {
+		return fmt.Errorf("replay: final state does not satisfy the goal")
+	}
+	// The fine grid, as ConcretizeFine: chains of strict bounds can
+	// legitimately need a grid finer than half units.
+	steps, denom, err := schedule(trace, cons)
+	if err != nil {
+		return fmt.Errorf("concretize: %w", err)
+	}
+	if err := checkTimes(cons, steps, denom); err != nil {
+		return fmt.Errorf("validate: %w", err)
+	}
+	prev := int64(0)
+	for i, st := range steps {
+		if NoDelayAt(sys, locsAt[i], envAt[i]) && st.Time != prev {
+			return fmt.Errorf("urgency: step %d fires at %s but its source state forbids delay since %s",
+				i, TimeStringAt(st.Time, denom), TimeStringAt(prev, denom))
+		}
+		prev = st.Time
+	}
+	return nil
+}
+
+// checkStep is the one definition of a legal discrete step: it returns
+// the edges transition t takes from the discrete state (locs, env), or
+// why t may not fire there. Indices lie in range; an internal step takes
+// an unsynchronized edge; a sync pairs a Send and a Recv edge of two
+// distinct automata on t.Chan; while any automaton is committed, some
+// participant is; every edge leaves its automaton's current location
+// with its integer guard true. Clock constraints are the caller's. The
+// search's successor enumeration encodes the same rules separately, so
+// the traces it finds are checked by code it does not run.
+func checkStep(sys *ta.System, locs, env []int32, t Transition) (e1, e2 *ta.Edge, err error) {
+	edge := func(a, e int) *ta.Edge {
+		if a < 0 || a >= len(sys.Automata) || e < 0 || e >= len(sys.Automata[a].Edges) {
+			return nil
+		}
+		return &sys.Automata[a].Edges[e]
+	}
+	if e1 = edge(t.A1, t.E1); e1 == nil {
+		return nil, nil, fmt.Errorf("no edge %d of automaton %d", t.E1, t.A1)
+	}
+	if t.Internal() {
+		if e1.Dir != ta.NoSync {
+			return nil, nil, fmt.Errorf("internal step takes a synchronizing edge of %s", sys.Automata[t.A1].Name)
+		}
+	} else {
+		if e2 = edge(t.A2, t.E2); e2 == nil {
+			return nil, nil, fmt.Errorf("no edge %d of automaton %d", t.E2, t.A2)
+		}
+		if t.A1 == t.A2 || e1.Dir != ta.Send || e2.Dir != ta.Recv || e1.Chan != t.Chan || e2.Chan != t.Chan {
+			return nil, nil, fmt.Errorf("not a send/receive pair of two automata on channel %d", t.Chan)
+		}
+	}
+	committed, moves := false, false
+	for ai, a := range sys.Automata {
+		if a.Locations[locs[ai]].Kind == ta.Committed {
+			committed = true
+			moves = moves || ai == t.A1 || ai == t.A2
+		}
+	}
+	if committed && !moves {
+		return nil, nil, fmt.Errorf("an automaton is committed but the step leaves no committed location")
+	}
+	if int(locs[t.A1]) != e1.Src || (e2 != nil && int(locs[t.A2]) != e2.Src) {
+		return nil, nil, fmt.Errorf("edge does not leave the current location")
+	}
+	if !expr.Truthy(e1.IntGuard, env) || (e2 != nil && !expr.Truthy(e2.IntGuard, env)) {
+		return nil, nil, fmt.Errorf("integer guard not satisfied")
+	}
+	return e1, e2, nil
+}
+
+// replay walks trace from the initial state of sys, checking every step
+// with checkStep, and collects the difference constraints over firing
+// times that guards and invariants induce. With states set it also
+// returns the discrete state before each step and after the last (index
+// 0 is the initial state). Every trace checker of the package uses it.
+func replay(sys *ta.System, trace []Transition, states bool) (cons []diffConstraint, locsAt, envAt [][]int32, err error) {
 	if err := sys.Freeze(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// lastReset[c] = (step index, scaled value) of clock c's latest reset.
 	type resetPoint struct {
@@ -165,8 +266,13 @@ func traceConstraints(sys *ta.System, trace []Transition) ([]diffConstraint, err
 		locs[ai] = int32(a.Init)
 	}
 	env := sys.Table.NewEnv()
+	snap := func() {
+		if states {
+			locsAt = append(locsAt, append([]int32(nil), locs...))
+			envAt = append(envAt, append([]int32(nil), env...))
+		}
+	}
 
-	var cons []diffConstraint
 	add := func(u, v int, w int64, strict bool) {
 		cons = append(cons, diffConstraint{u, v, w, strict})
 	}
@@ -199,8 +305,19 @@ func traceConstraints(sys *ta.System, trace []Transition) ([]diffConstraint, err
 		}
 	}
 
+	snap()
 	for si, t := range trace {
 		s := si + 1
+		e1, e2, err := checkStep(sys, locs, env, t)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("mc: trace step %d: %w", s, err)
+		}
+		pair, movers := [2]*ta.Edge{e1, e2}, [2]int{t.A1, t.A2}
+		edges := pair[:1]
+		if e2 != nil {
+			edges = pair[:2]
+		}
+
 		add(s-1, s, 0, false) // monotonic time: T[s] >= T[s-1]
 		if NoDelayAt(sys, locs, env) {
 			// The source state forbids delay (urgent/committed location or
@@ -210,56 +327,28 @@ func traceConstraints(sys *ta.System, trace []Transition) ([]diffConstraint, err
 			add(s, s-1, 0, false)
 		}
 
-		a1 := sys.Automata[t.A1]
-		e1 := &a1.Edges[t.E1]
-		var e2 *ta.Edge
-		if !t.Internal() {
-			e2 = &sys.Automata[t.A2].Edges[t.E2]
-		}
-		if int(locs[t.A1]) != e1.Src {
-			return nil, fmt.Errorf("mc: trace step %d: automaton %s not at %s", s, a1.Name, a1.Locations[e1.Src].Name)
-		}
-		if e2 != nil && int(locs[t.A2]) != e2.Src {
-			return nil, fmt.Errorf("mc: trace step %d: receiver not at source location", s)
-		}
-		if !expr.Truthy(e1.IntGuard, env) || (e2 != nil && !expr.Truthy(e2.IntGuard, env)) {
-			return nil, fmt.Errorf("mc: trace step %d: integer guard not satisfied", s)
-		}
-
 		// Source invariants hold up to and including T[s].
 		invariantsAt(s)
-		for _, c := range e1.ClockGuard {
-			addClockConstraint(s, c)
-		}
-		if e2 != nil {
-			for _, c := range e2.ClockGuard {
+		for _, e := range edges {
+			for _, c := range e.ClockGuard {
 				addClockConstraint(s, c)
 			}
 		}
 
-		// Discrete update.
-		expr.ExecAll(e1.Assigns, env)
-		if e2 != nil {
-			expr.ExecAll(e2.Assigns, env)
-		}
-		locs[t.A1] = int32(e1.Dst)
-		if e2 != nil {
-			locs[t.A2] = int32(e2.Dst)
-		}
-		for _, r := range e1.Resets {
-			lastReset[r.Clock] = resetPoint{step: s, val: int64(r.Value) * Half}
-		}
-		if e2 != nil {
-			for _, r := range e2.Resets {
+		// Discrete update; UPPAAL evaluates the sender's update first.
+		for i, e := range edges {
+			expr.ExecAll(e.Assigns, env)
+			locs[movers[i]] = int32(e.Dst)
+			for _, r := range e.Resets {
 				lastReset[r.Clock] = resetPoint{step: s, val: int64(r.Value) * Half}
 			}
 		}
 
 		// Target invariants hold on entry at T[s].
 		invariantsAt(s)
+		snap()
 	}
-
-	return cons, nil
+	return cons, locsAt, envAt, nil
 }
 
 // encodeBound is the integer encoding of a difference constraint at grid
@@ -429,46 +518,10 @@ func FormatTrace(sys *ta.System, steps []ConcreteStep) string {
 	return out
 }
 
-// ReplayDiscrete replays a symbolic trace and returns the location vector
-// and integer store after every step (index 0 is the initial state). It is
-// the building block for schedule projection and for validating traces.
+// ReplayDiscrete replays a symbolic trace under the legal-step rule and
+// returns the location vector and integer store after every step (index 0
+// is the initial state).
 func ReplayDiscrete(sys *ta.System, trace []Transition) (locsAt [][]int32, envAt [][]int32, err error) {
-	if err := sys.Freeze(); err != nil {
-		return nil, nil, err
-	}
-	locs := make([]int32, len(sys.Automata))
-	for ai, a := range sys.Automata {
-		locs[ai] = int32(a.Init)
-	}
-	env := sys.Table.NewEnv()
-	snap := func() {
-		l := make([]int32, len(locs))
-		copy(l, locs)
-		e := make([]int32, len(env))
-		copy(e, env)
-		locsAt = append(locsAt, l)
-		envAt = append(envAt, e)
-	}
-	snap()
-	for si, t := range trace {
-		a1 := sys.Automata[t.A1]
-		e1 := &a1.Edges[t.E1]
-		var e2 *ta.Edge
-		if !t.Internal() {
-			e2 = &sys.Automata[t.A2].Edges[t.E2]
-		}
-		if int(locs[t.A1]) != e1.Src || (e2 != nil && int(locs[t.A2]) != e2.Src) {
-			return nil, nil, fmt.Errorf("mc: replay step %d: source location mismatch", si+1)
-		}
-		expr.ExecAll(e1.Assigns, env)
-		if e2 != nil {
-			expr.ExecAll(e2.Assigns, env)
-		}
-		locs[t.A1] = int32(e1.Dst)
-		if e2 != nil {
-			locs[t.A2] = int32(e2.Dst)
-		}
-		snap()
-	}
-	return locsAt, envAt, nil
+	_, locsAt, envAt, err = replay(sys, trace, true)
+	return locsAt, envAt, err
 }

@@ -496,3 +496,73 @@ func TestTimeStringAt(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceCheckersRejectIllegalSteps pins the legal-step rule every trace
+// checker shares: each row breaks one rule of a legal trace and must be
+// refused with an error, never a panic, by all four entry points.
+func TestTraceCheckersRejectIllegalSteps(t *testing.T) {
+	s := ta.NewSystem("steps")
+	ch := s.AddChannel("go", false)
+	p := s.AddAutomaton("P")
+	p0 := p.AddLocation("p0", ta.Committed)
+	p1 := p.AddLocation("p1", ta.Normal)
+	p2 := p.AddLocation("p2", ta.Normal)
+	p.SetInit(p0)
+	pTau := p.Edge(p0, p1).Done()
+	pSend := p.Edge(p1, p2).Sync("go", ta.Send).Done()
+	q := s.AddAutomaton("Q")
+	q0 := q.AddLocation("q0", ta.Normal)
+	q1 := q.AddLocation("q1", ta.Normal)
+	q.SetInit(q0)
+	qTau := q.Edge(q0, q1).Done()
+	qRecv := q.Edge(q0, q1).Sync("go", ta.Recv).Done()
+
+	internal := func(a, e int) Transition { return Transition{Chan: -1, A1: a, E1: e, A2: -1, E2: -1} }
+	sync := func(a1, e1, a2, e2 int) Transition { return Transition{Chan: ch, A1: a1, E1: e1, A2: a2, E2: e2} }
+	if err := CheckTrace(s, Goal{}, []Transition{internal(0, pTau), sync(0, pSend, 1, qRecv)}); err != nil {
+		t.Fatalf("legal trace refused: %v", err)
+	}
+	rows := []struct {
+		name  string
+		trace []Transition
+	}{
+		{"moves while another automaton is committed", []Transition{internal(1, qTau)}},
+		{"sync of two internal edges", []Transition{sync(0, pTau, 1, qTau)}},
+		{"sender and receiver swapped", []Transition{internal(0, pTau), sync(1, qRecv, 0, pSend)}},
+		{"automaton out of range", []Transition{internal(2, 0)}},
+		{"edge out of range", []Transition{internal(0, 9)}},
+		{"receiver out of range", []Transition{internal(0, pTau), sync(0, pSend, 1, 9)}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			steps := make([]ConcreteStep, len(r.trace))
+			for i, tr := range r.trace {
+				steps[i].Trans = tr
+			}
+			checks := map[string]func() error{
+				"CheckTrace": func() error { return CheckTrace(s, Goal{}, r.trace) },
+				"ConcretizeFine": func() error {
+					_, _, err := ConcretizeFine(s, r.trace)
+					return err
+				},
+				"ValidateConcreteAt": func() error { return ValidateConcreteAt(s, steps, Half) },
+				"ReplayDiscrete": func() error {
+					_, _, err := ReplayDiscrete(s, r.trace)
+					return err
+				},
+			}
+			for name, check := range checks {
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							t.Errorf("%s panicked: %v", name, v)
+						}
+					}()
+					if err := check(); err == nil {
+						t.Errorf("%s accepted the trace", name)
+					}
+				}()
+			}
+		})
+	}
+}

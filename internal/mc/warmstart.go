@@ -4,9 +4,7 @@ import (
 	"errors"
 
 	"guidedta/internal/dbm"
-	"guidedta/internal/expr"
 	"guidedta/internal/snapshot"
-	"guidedta/internal/ta"
 )
 
 // WarmStartOptions configures warm-start exploration (Options.WarmStart):
@@ -251,77 +249,27 @@ func warmSeed(c *engineCtx, store stateStore, goal Goal) *warmState {
 	return w
 }
 
-// transitionShaped bounds-checks t's indices against this model; a seed
-// trace may reference automata, edges, or channels this network lacks.
-func (c *engineCtx) transitionShaped(t Transition) bool {
-	sys := c.en.sys
-	if t.A1 < 0 || t.A1 >= len(sys.Automata) || t.E1 < 0 || t.E1 >= len(sys.Automata[t.A1].Edges) {
-		return false
-	}
-	if t.Internal() {
-		return true
-	}
-	if t.A2 < 0 || t.A2 >= len(sys.Automata) || t.E2 < 0 || t.E2 >= len(sys.Automata[t.A2].Edges) {
-		return false
-	}
-	return t.Chan >= 0 && t.Chan < sys.NumChannels()
-}
-
 // replayTrace re-derives a symbolic run for trace from this model's
-// initial state, enforcing everything the search loop would have: edge
-// existence and source locations, integer guards, channel pairing,
-// committed-location semantics, and non-empty zones through fire (clock
+// initial state, enforcing everything the search loop would have: the
+// legal-step rule of checkStep and non-empty zones through fire (clock
 // guards, invariants, delay closure). Returns the final node — whose
 // traceOf is exactly trace — or nil if any step fails or the final state
 // misses the goal's discrete conditions. For deadlock goals the
-// deadlock-ness is rechecked on the replayed node: the seeded zone the
-// search judged deadlocked does NOT over-approximate the replayed one —
-// re-validation only intersects the old-model zone with this model's
-// invariants, so when this model relaxes a guard or invariant along the
-// path (an extended deadline) the replayed zone can be strictly larger
-// and have successors the seeded zone lacked. Requiring the freshly
-// computed successor set of the replayed node to be empty is what makes a
-// replayed deadlock witness a witness of THIS model.
+// deadlock-ness is rechecked on the replayed node: re-validation only
+// intersects a seeded zone with this model's invariants, so when this
+// model relaxes a guard or invariant along the path (an extended
+// deadline) the replayed zone can be strictly larger than the seeded one
+// and have successors it lacked. Requiring the freshly computed successor
+// set of the replayed node to be empty is what makes a replayed deadlock
+// witness a witness of THIS model.
 func (c *engineCtx) replayTrace(trace []Transition, goal Goal) *node {
-	en := c.en
 	cur, err := c.initial()
 	if err != nil {
 		return nil
 	}
 	for _, t := range trace {
-		if !c.transitionShaped(t) {
+		if _, _, err := checkStep(c.en.sys, cur.locs, cur.env, t); err != nil {
 			return nil
-		}
-		committed := en.committed(c.committedBuf[:0], cur.locs)
-		c.committedBuf = committed
-		if len(committed) > 0 {
-			allowed := false
-			for _, cm := range committed {
-				if cm == t.A1 || (!t.Internal() && cm == t.A2) {
-					allowed = true
-					break
-				}
-			}
-			if !allowed {
-				return nil
-			}
-		}
-		e1 := &en.sys.Automata[t.A1].Edges[t.E1]
-		if int(cur.locs[t.A1]) != e1.Src || !expr.Truthy(e1.IntGuard, cur.env) {
-			return nil
-		}
-		if t.Internal() {
-			if e1.Dir != ta.NoSync {
-				return nil
-			}
-		} else {
-			e2 := &en.sys.Automata[t.A2].Edges[t.E2]
-			if int(cur.locs[t.A2]) != e2.Src || !expr.Truthy(e2.IntGuard, cur.env) {
-				return nil
-			}
-			if e1.Dir != ta.Send || e2.Dir != ta.Recv || e1.Chan != t.Chan || e2.Chan != t.Chan || t.A1 == t.A2 {
-				return nil
-			}
 		}
 		next := c.fire(cur, t)
 		if next == nil {

@@ -105,7 +105,7 @@ func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	if res.Stats.StatesExplored != 0 {
 		t.Fatalf("instant witness still explored %d states", res.Stats.StatesExplored)
 	}
-	checkTrace(t, sys, res)
+	checkTrace(t, sys, goal, res)
 }
 
 // TestWarmStartNearbyModelFewerStates is the re-synthesis scenario: the
@@ -142,7 +142,7 @@ func TestWarmStartNearbyModelFewerStates(t *testing.T) {
 		t.Fatalf("warm explored %d states, cold %d — no reuse",
 			warm.Stats.StatesExplored, cold.Stats.StatesExplored)
 	}
-	checkTrace(t, warmSys, warm)
+	checkTrace(t, warmSys, warmGoal, warm)
 }
 
 // TestWarmStartStructureMismatchDropsAll: a seed from a differently shaped
@@ -171,11 +171,14 @@ func TestWarmStartStructureMismatchDropsAll(t *testing.T) {
 	if warm.Stats.WarmDropped == 0 {
 		t.Fatal("mismatched seed reported no drops")
 	}
+	if warm.WarmStarted {
+		t.Fatal("a seed that left no state in the store reported WarmStarted")
+	}
 	if warm.Found != cold.Found || warm.Stats.StatesExplored != cold.Stats.StatesExplored {
 		t.Fatalf("fully dropped warm run diverged from cold: found=%v/%v explored=%d/%d",
 			warm.Found, cold.Found, warm.Stats.StatesExplored, cold.Stats.StatesExplored)
 	}
-	checkTrace(t, sys, warm)
+	checkTrace(t, sys, goal, warm)
 }
 
 // TestWarmStartMissingSeedRunsCold: warm starting is opportunistic — a
@@ -399,7 +402,7 @@ func TestWarmStartParallel(t *testing.T) {
 	if !res.WarmStarted || !res.Found {
 		t.Fatalf("warm run with workers: WarmStarted=%v Found=%v", res.WarmStarted, res.Found)
 	}
-	checkTrace(t, sys, res)
+	checkTrace(t, sys, goal, res)
 }
 
 // stateLimitSeed runs sys until maxStates states are explored and

@@ -370,10 +370,6 @@ func TestWarmStartServe(t *testing.T) {
 		}
 		return warm
 	}
-	// TODO: warm_started_from is also set when re-validation drops every
-	// seeded state and the search runs cold (the FOUND entry on
-	// Server.execute in CHANGES.md), so these warm-hit checks cannot tell
-	// a seeded search from a cold one.
 	if warm := fleet(ts, 0, 1, 2); len(warm) == 0 {
 		t.Fatal("no fleet job warm-started")
 	}
@@ -402,6 +398,27 @@ func TestWarmStartServe(t *testing.T) {
 	}
 	if st.WarmStarts == 0 || st.Jobs[JobFailed] != 0 {
 		t.Fatalf("after restart /v1/status: warm_starts %d, failed jobs %d", st.WarmStarts, st.Jobs[JobFailed])
+	}
+}
+
+// TestWarmStartShapeMismatchReportsCold: a seed from the same warm family
+// but a different model shape (two batches seeding three) loses every
+// state to re-validation, so the search runs cold and must not be
+// reported as warm-started.
+func TestWarmStartShapeMismatchReportsCold(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: t.TempDir(), WarmStart: true})
+	for _, batches := range []int{2, 3} {
+		body := fmt.Sprintf(`{"plant": {"batches": %d}, "options": {"search": "dfs"}}`, batches)
+		code, jj := postJob(t, ts, body, true)
+		if code != http.StatusOK || jj.State != JobDone {
+			t.Fatalf("%d batches: status %d state %q (%s)", batches, code, jj.State, jj.Error)
+		}
+		if jj.WarmStartedFrom != "" {
+			t.Errorf("%d batches: warm_started_from = %q, want a cold run", batches, jj.WarmStartedFrom)
+		}
+	}
+	if got := srv.Status().WarmStarts; got != 0 {
+		t.Errorf("warm starts = %d, want 0", got)
 	}
 }
 

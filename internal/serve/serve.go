@@ -587,10 +587,10 @@ func (s *Server) execute(ex *execution) *outcome {
 	// negative or failed — a foreign model's state space may subsume zones
 	// this model would have explored further, so only a cold run may
 	// report "not satisfied". The retry is gated on the engine actually
-	// having seeded something (res.WarmStarted with WarmSeeded > 0): a
-	// missing or unusable seed file, or one whose states were all dropped
-	// by re-validation, means the search already ran cold and rerunning it
-	// would just repeat the identical work. Seeding from the query's own
+	// having seeded something (res.WarmStarted): a missing or unusable
+	// seed file, or one whose states were all dropped by re-validation,
+	// means the search already ran cold and rerunning it would just repeat
+	// the identical work. Seeding from the query's own
 	// key is exempt (the seeded zones are genuinely this model's), and
 	// canceled or limit-aborted searches are service outcomes either way.
 	// Warm starts change latency, never answers.
@@ -604,7 +604,7 @@ func (s *Server) execute(ex *execution) *outcome {
 		if warmFrom == ex.key || res.Abort != mc.AbortNone {
 			return false
 		}
-		if !res.WarmStarted || res.Stats.WarmSeeded == 0 {
+		if !res.WarmStarted {
 			return false
 		}
 		return err != nil || !res.Found
