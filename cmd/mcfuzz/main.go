@@ -5,8 +5,8 @@
 // flavor × parallelism, plus the bit-state under-approximations and
 // BestTime) on each, and enforces the soundness contract: exact
 // configurations agree on the verdict, every witness trace replays,
-// concretizes, and passes the urgency audit, and the under-approximations
-// never invent goals. Failing inputs are shrunk to minimal .gta repros
+// concretizes, and passes timing validation (urgency included), and the
+// under-approximations never invent goals. Failing inputs are shrunk to minimal .gta repros
 // and written next to the corpus so they become regression tests.
 //
 // Usage:

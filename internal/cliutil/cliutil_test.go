@@ -143,6 +143,37 @@ func TestReportMatchesSchemaAndStats(t *testing.T) {
 	}
 }
 
+// TestReportWarmCounters: a warm run's counters reach the report and
+// validate against the schema; a cold run's stats omit them.
+func TestReportWarmCounters(t *testing.T) {
+	rep := NewReport("cliutil-test")
+	run := rep.Run("warm")
+	run.SetResult(mc.Result{Found: true, WarmStarted: true, Stats: mc.Stats{
+		WarmReplays: 2, WarmSeeded: 5, WarmDropped: 6,
+		WarmDroppedShape: 1, WarmDroppedChain: 2, WarmDroppedEmptied: 3,
+	}})
+	rep.Run("cold").SetResult(mc.Result{})
+	data, err := rep.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateReport(data); err != nil {
+		t.Fatalf("report does not validate against its schema: %v\n%s", err, data)
+	}
+	want := ReportStats{WarmReplays: 2, WarmSeeded: 5, WarmDropped: 6,
+		WarmDroppedShape: 1, WarmDroppedChain: 2, WarmDroppedEmptied: 3}
+	if run.Stats != want {
+		t.Errorf("warm stats %+v, want %+v", run.Stats, want)
+	}
+	cold, err := json.Marshal(rep.Runs[1].Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(cold, []byte("warm_")) {
+		t.Errorf("cold run's stats carry warm counters: %s", cold)
+	}
+}
+
 func TestValidateJSONRejects(t *testing.T) {
 	cases := []struct {
 		name string

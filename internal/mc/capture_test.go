@@ -10,9 +10,10 @@ import (
 	"guidedta/internal/ta"
 )
 
-// liveSearch runs a sequential search the way explore's prologue does — a
-// warm seed's frontier first when one is configured, then the initial
-// state — and returns the loop still holding its store and frontier.
+// liveSearch runs a sequential search the way explore's prologue does
+// when no instant witness replays — a warm seed's seeded frontier first
+// when one is configured, then the initial state — and returns the loop
+// still holding its store and frontier.
 func liveSearch(t *testing.T, sys *ta.System, goal Goal, opts Options) *seqSearch {
 	t.Helper()
 	opts, err := opts.normalize()
@@ -26,8 +27,13 @@ func liveSearch(t *testing.T, sys *ta.System, goal Goal, opts Options) *seqSearc
 	q := newSeqSearch(en, goal)
 	c := q.w0.c
 	if opts.WarmStart.enabled() {
-		w := warmSeed(c, q.store, goal)
-		if w == nil || len(w.seeded) == 0 {
+		ws := loadWarmSeed(en)
+		if ws == nil {
+			t.Fatal("warm seed did not load")
+		}
+		w := &warmState{}
+		ws.seed(c, q.store, w)
+		if len(w.seeded) == 0 {
 			t.Fatal("warm seed seeded nothing")
 		}
 		q.queue(w.frontier)

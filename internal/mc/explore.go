@@ -180,36 +180,37 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 		d.restore(rs)
 	} else {
 		if en.opts.WarmStart.enabled() {
-			// Warm start: seed the store from another model's checkpoint
-			// (every state re-validated — see WarmStartOptions), queue the
-			// seed's surviving frontier (parking its matrices for the
-			// replays to reuse), and try the seeded goal states as instant
-			// witnesses via full replay on this model.
-			if warm = warmSeed(c, s.store, goal); warm != nil {
-				res.WarmStarted = len(warm.seeded) > 0
-				d.queue(warm.frontier)
-				for i, g := range warm.goals {
-					if i >= warmReplayCap {
-						break
-					}
-					if found = c.replayTrace(traceOf(g), goal); found != nil {
-						break
-					}
+			// Warm start: replay the seed's goal states on this model,
+			// rooted at init, and keep just the path of the first that
+			// replays; only when none does, seed the store from the seed
+			// (every state re-validated — see WarmStartOptions) and queue
+			// its surviving frontier.
+			if ws := loadWarmSeed(en); ws != nil {
+				warm = &warmState{}
+				if found = ws.replay(c, init, goal, warm); found != nil {
+					res.WarmStarted = true
+					d.queue(c.keepPath(s.store, found))
+				} else {
+					ws.seed(c, s.store, warm)
+					res.WarmStarted = len(warm.seeded) > 0
+					d.queue(warm.frontier)
 				}
 			}
 		}
-		if c.offer(s.store, c.stateKey(init), init) {
-			// Borrow the kernel's successor buffer, which the first
-			// expansion would allocate anyway: the loops copy what they
-			// queue.
-			w.succ = append(w.succ[:0], init)
-			d.queue(w.succ)
-		} else {
-			// Only possible under a warm start: a seeded state already
-			// subsumes the initial state, so its (old-model) expansion
-			// stands in for init's — the pruning the warm start exists for,
-			// and the reason warm negatives are advisory.
-			c.recycleNode(init)
+		if found == nil {
+			if c.offer(s.store, c.stateKey(init), init) {
+				// Borrow the kernel's successor buffer, which the first
+				// expansion would allocate anyway: the loops copy what they
+				// queue.
+				w.succ = append(w.succ[:0], init)
+				d.queue(w.succ)
+			} else {
+				// Only possible under a warm start: a seeded state already
+				// subsumes the initial state, so its (old-model) expansion
+				// stands in for init's — the pruning the warm start exists
+				// for, and the reason warm negatives are advisory.
+				c.recycleNode(init)
+			}
 		}
 	}
 	if found == nil {
@@ -231,7 +232,11 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 	st.Duration = time.Since(s.start)
 	if warm != nil {
 		st.WarmSeeded = len(warm.seeded)
-		st.WarmDropped = warm.dropped
+		st.WarmReplays = warm.replays
+		st.WarmDroppedShape = warm.droppedShape
+		st.WarmDroppedChain = warm.droppedChain
+		st.WarmDroppedEmptied = warm.droppedEmptied
+		st.WarmDropped = warm.droppedShape + warm.droppedChain + warm.droppedEmptied
 		if found != nil && !warm.isFresh(found) {
 			// The witness runs through a seeded (foreign-model) prefix: its
 			// ancestors' zones were inherited, not derived on this model, so
@@ -239,7 +244,11 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 			// reported. A replay failure means the seed lied about
 			// reachability — surface it as ErrWarmStart so callers can rerun
 			// cold.
-			rep := c.replayTrace(traceOf(found), goal)
+			root, err := c.initial()
+			if err != nil {
+				return res, err
+			}
+			rep := c.replayTrace(root, traceOf(found), goal)
 			if rep == nil {
 				return res, fmt.Errorf("%w (seeded prefix of length %d)", ErrWarmStart, found.depth)
 			}

@@ -161,11 +161,13 @@ func checkTimes(cons []diffConstraint, steps []ConcreteStep, denom int64) error 
 
 // CheckTrace is the witness-trace contract: the trace must replay from
 // the initial state under the legal-step rule (checkStep), end in a state
-// satisfying the goal, concretize to absolute firing times, pass the
-// timing validator, and — the urgency audit — never schedule a positive
-// delay out of a state that forbids delay. It replays the trace once and
-// shares no code with the search's successor enumeration, so it checks
-// the engine's traces independently of the code that found them.
+// satisfying the goal, concretize to absolute firing times, and pass the
+// timing validator. Urgency is part of the timing constraints: replay
+// pins a step to its predecessor's time wherever NoDelayAt forbids delay
+// in the step's source state, so a schedule that delays there fails
+// validation. It replays the trace once and shares no code with the
+// search's successor enumeration, so it checks the engine's traces
+// independently of the code that found them.
 func CheckTrace(sys *ta.System, goal Goal, trace []Transition) error {
 	cons, locsAt, envAt, err := replay(sys, trace, true)
 	if err != nil {
@@ -183,14 +185,6 @@ func CheckTrace(sys *ta.System, goal Goal, trace []Transition) error {
 	}
 	if err := checkTimes(cons, steps, denom); err != nil {
 		return fmt.Errorf("validate: %w", err)
-	}
-	prev := int64(0)
-	for i, st := range steps {
-		if NoDelayAt(sys, locsAt[i], envAt[i]) && st.Time != prev {
-			return fmt.Errorf("urgency: step %d fires at %s but its source state forbids delay since %s",
-				i, TimeStringAt(st.Time, denom), TimeStringAt(prev, denom))
-		}
-		prev = st.Time
 	}
 	return nil
 }

@@ -341,6 +341,13 @@ func TestConcretizeUrgentNoStall(t *testing.T) {
 		t.Errorf("times = %s, %s; want 3, 3 (no stall inside the urgent location)",
 			TimeString(steps[0].Time), TimeString(steps[1].Time))
 	}
+	// Entering l1 at 0 and leaving at 3 meets every guard but delays in
+	// the urgent location: the validator must refuse it, because its
+	// timing constraints are CheckTrace's only urgency check.
+	stall := []ConcreteStep{{Trans: res.Trace[0], Time: 0}, {Trans: res.Trace[1], Time: 3 * Half}}
+	if err := ValidateConcreteAt(s, stall, Half); err == nil {
+		t.Error("a schedule that delays in the urgent l1 validated")
+	}
 }
 
 // Same stall scenario through an enabled urgent-channel sync: once the

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,10 +68,25 @@ func keepFinalCheckpoint(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Opt
 	return path, res
 }
 
+// keptPathOnly asserts that the kept-final checkpoint at path holds at
+// most len(trace)+1 store entries: an instant witness keeps only its
+// replayed path, whatever the seed held.
+func keptPathOnly(t *testing.T, path string, trace []mc.Transition) {
+	t.Helper()
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Store) > len(trace)+1 {
+		t.Fatalf("instant run kept %d store entries, want at most %d (its path)", len(cp.Store), len(trace)+1)
+	}
+}
+
 // TestWarmStartSameModelInstantWitness: re-running the identical query
-// warm-started from its own final checkpoint must find the goal from the
-// seeded goal states alone, exploring (essentially) nothing, and the
-// witness must still replay and concretize.
+// warm-started from its own final checkpoint must find the goal by
+// replaying the seed's goal state, exploring nothing and seeding nothing:
+// the witness is the seed run's own trace, it still replays and
+// concretizes, and the run's kept-final checkpoint holds only its path.
 func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	sys, goal := fischerKModel(t, 4, 2)
 	path, ref := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
@@ -89,29 +105,29 @@ func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	sys, goal = fischerKModel(t, 4, 2)
 	opts := mc.DefaultOptions(mc.DFS)
 	opts.WarmStart = mc.WarmStartOptions{Path: path}
-	res, err := mc.Explore(sys, goal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kept, res := keepFinalCheckpoint(t, sys, goal, opts)
 	if !res.WarmStarted || !res.Found {
 		t.Fatalf("warm run: WarmStarted=%v Found=%v, want both", res.WarmStarted, res.Found)
 	}
-	if res.Stats.WarmSeeded == 0 {
-		t.Fatal("warm run seeded nothing from its own model's checkpoint")
-	}
-	if res.Stats.WarmDropped != 0 {
-		t.Fatalf("warm run dropped %d states of its own model", res.Stats.WarmDropped)
+	if !slices.Equal(res.Trace, ref.Trace) {
+		t.Fatalf("warm trace %v differs from the seed run's %v", res.Trace, ref.Trace)
 	}
 	if res.Stats.StatesExplored != 0 {
 		t.Fatalf("instant witness still explored %d states", res.Stats.StatesExplored)
 	}
+	if res.Stats.WarmReplays != 1 || res.Stats.WarmSeeded != 0 || res.Stats.WarmDropped != 0 {
+		t.Fatalf("warm run replayed %d, seeded %d, dropped %d; want 1, 0, 0",
+			res.Stats.WarmReplays, res.Stats.WarmSeeded, res.Stats.WarmDropped)
+	}
+	keptPathOnly(t, kept, res.Trace)
 	checkTrace(t, sys, goal, res)
 }
 
 // TestWarmStartNearbyModelFewerStates is the re-synthesis scenario: the
-// constant k drifts, the warm search seeds the old run's store, and the
-// (replay-validated) answer arrives after exploring measurably fewer
-// states than a cold search of the new model.
+// constant k drifts, the warm search replays the old run's witness on the
+// new model, and the (replay-validated) answer arrives without exploring
+// a state, where a cold search of the new model explores many; the kept
+// snapshot holds only the replayed path.
 func TestWarmStartNearbyModelFewerStates(t *testing.T) {
 	sys, goal := fischerKModel(t, 4, 2)
 	path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
@@ -128,20 +144,15 @@ func TestWarmStartNearbyModelFewerStates(t *testing.T) {
 	warmSys, warmGoal := fischerKModel(t, 4, 3)
 	opts := mc.DefaultOptions(mc.DFS)
 	opts.WarmStart = mc.WarmStartOptions{Path: path}
-	warm, err := mc.Explore(warmSys, warmGoal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kept, warm := keepFinalCheckpoint(t, warmSys, warmGoal, opts)
 	if !warm.WarmStarted || !warm.Found {
 		t.Fatalf("warm run: WarmStarted=%v Found=%v, want both", warm.WarmStarted, warm.Found)
 	}
-	if warm.Stats.WarmSeeded == 0 {
-		t.Fatal("structurally identical model seeded nothing")
-	}
-	if warm.Stats.StatesExplored >= cold.Stats.StatesExplored {
+	if warm.Stats.StatesExplored != 0 || cold.Stats.StatesExplored == 0 {
 		t.Fatalf("warm explored %d states, cold %d — no reuse",
 			warm.Stats.StatesExplored, cold.Stats.StatesExplored)
 	}
+	keptPathOnly(t, kept, warm.Trace)
 	checkTrace(t, warmSys, warmGoal, warm)
 }
 
@@ -174,11 +185,71 @@ func TestWarmStartStructureMismatchDropsAll(t *testing.T) {
 	if warm.WarmStarted {
 		t.Fatal("a seed that left no state in the store reported WarmStarted")
 	}
+	if warm.Stats.WarmDroppedShape != warm.Stats.WarmDropped || warm.Stats.WarmReplays != 0 {
+		t.Fatalf("dropped %d, of them %d for shape, replayed %d; want every drop a shape drop and no replay",
+			warm.Stats.WarmDropped, warm.Stats.WarmDroppedShape, warm.Stats.WarmReplays)
+	}
 	if warm.Found != cold.Found || warm.Stats.StatesExplored != cold.Stats.StatesExplored {
 		t.Fatalf("fully dropped warm run diverged from cold: found=%v/%v explored=%d/%d",
 			warm.Found, cold.Found, warm.Stats.StatesExplored, cold.Stats.StatesExplored)
 	}
 	checkTrace(t, sys, goal, warm)
+}
+
+// guardedModel builds l0 -> l1 -> l2 where the first edge needs x >= 5
+// and l1 carries the invariant x <= inv; l3 is unreachable, so every
+// search is exhaustive and a warm run always seeds.
+func guardedModel(t testing.TB, inv int32) (*ta.System, mc.Goal, []int) {
+	t.Helper()
+	s := ta.NewSystem("guarded")
+	x := s.AddClock("x")
+	a := s.AddAutomaton("A")
+	l0 := a.AddLocation("l0", ta.Normal)
+	l1 := a.AddLocation("l1", ta.Normal)
+	l2 := a.AddLocation("l2", ta.Normal)
+	l3 := a.AddLocation("l3", ta.Normal)
+	a.SetInit(l0)
+	a.SetInvariant(l1, ta.LE(x, inv))
+	a.Edge(l0, l1).When(ta.GE(x, 5)).Done()
+	a.Edge(l1, l2).Done()
+	return s, mc.Goal{Desc: "reach l3", Locs: []mc.LocRequirement{{Automaton: 0, Location: l3}}}, []int{l0, l1, l2}
+}
+
+// TestWarmStartDropReasons: each dropped seed state is counted under its
+// reason. The seed (deadline 10) holds l0, l1 (5 <= x <= 10) and l2; the
+// warm model's deadline 3 empties l1, and l2's depth is corrupted in the
+// file, which breaks its ancestor chain. l0 is seeded.
+func TestWarmStartDropReasons(t *testing.T) {
+	sys, goal, locs := guardedModel(t, 10)
+	path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.BFS))
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cp.Nodes {
+		if sn := &cp.Nodes[i]; sn.HasState && int(sn.Locs[0]) == locs[2] {
+			sn.Depth += 5
+		}
+	}
+	if err := snapshot.Write(path, cp); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, goal, _ = guardedModel(t, 3)
+	opts := mc.DefaultOptions(mc.BFS)
+	opts.WarmStart = mc.WarmStartOptions{Path: path}
+	res, err := mc.Explore(sys, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.WarmSeeded != 1 || st.WarmDroppedShape != 0 || st.WarmDroppedChain != 1 || st.WarmDroppedEmptied != 1 || st.WarmDropped != 2 {
+		t.Fatalf("seeded %d, dropped %d (shape %d, chain %d, emptied %d); want 1, 2 (0, 1, 1)",
+			st.WarmSeeded, st.WarmDropped, st.WarmDroppedShape, st.WarmDroppedChain, st.WarmDroppedEmptied)
+	}
+	if st.WarmReplays != 0 || !res.WarmStarted || res.Found {
+		t.Fatalf("replays %d, WarmStarted %v, Found %v; want 0, true, false", st.WarmReplays, res.WarmStarted, res.Found)
+	}
 }
 
 // TestWarmStartMissingSeedRunsCold: warm starting is opportunistic — a

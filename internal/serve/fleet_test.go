@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/plant"
+	"guidedta/internal/snapshot"
 )
 
 // qex builds the minimal execution the queue cares about.
@@ -398,6 +400,94 @@ func TestWarmStartServe(t *testing.T) {
 	}
 	if st.WarmStarts == 0 || st.Jobs[JobFailed] != 0 {
 		t.Fatalf("after restart /v1/status: warm_starts %d, failed jobs %d", st.WarmStarts, st.Jobs[JobFailed])
+	}
+}
+
+// keptTrace reads a plant job's kept-final snapshot back: the trace of its
+// one goal state among the store entries, and the store's size.
+func keptTrace(t *testing.T, path string, goal mc.Goal) (trace []mc.Transition, stored int) {
+	t.Helper()
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := int32(-1)
+	for _, ix := range cp.Store {
+		if sn := &cp.Nodes[ix]; goal.Satisfied(sn.Locs, sn.Env) {
+			if hit >= 0 {
+				t.Fatalf("%s holds two goal states", filepath.Base(path))
+			}
+			hit = ix
+		}
+	}
+	if hit < 0 {
+		t.Fatalf("%s holds no goal state", filepath.Base(path))
+	}
+	trace = make([]mc.Transition, cp.Nodes[hit].Depth)
+	for ix := hit; cp.Nodes[ix].Parent >= 0; ix = cp.Nodes[ix].Parent {
+		v := cp.Nodes[ix].Via
+		trace[cp.Nodes[ix].Depth-1] = mc.Transition{Chan: int(v[0]), A1: int(v[1]), E1: int(v[2]), A2: int(v[3]), E2: int(v[4])}
+	}
+	return trace, len(cp.Store)
+}
+
+// TestWarmDriftChainKeepsPaths streams a chain of treatment drifts of the
+// 3-batch plant into one warm-start server, each job seeded from the
+// newest kept snapshot, its predecessor's. After the cold first job every
+// job must warm-start by replaying its seed's witness, and keep a
+// snapshot of at most its trace length plus one states, so the chain
+// does not grow. Each job's witness, read back from its snapshot, must
+// have the reported length and replay on the unguided plant.
+func TestWarmDriftChainKeepsPaths(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
+	drifts := [][2]int32{{4, 6}, {5, 7}, {3, 5}, {6, 8}, {7, 9}, {8, 10}, {5, 4}, {3, 9}, {8, 6}, {4, 10}, {6, 5}}
+	for i, d := range drifts {
+		pr := &PlantRequest{Batches: 3, Params: &ParamsRequest{TreatA: &d[0], TreatB: &d[1]}}
+		body, err := json.Marshal(SubmitRequest{Plant: pr, Resynthesis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, jj := postJob(t, ts, string(body), true)
+		if code != http.StatusOK || jj.State != JobDone || jj.Schedule == nil || jj.Report == nil {
+			t.Fatalf("drift %d %v: status %d state %q (%s)", i, d, code, jj.State, jj.Error)
+		}
+		if i > 0 {
+			if jj.WarmStartedFrom == "" {
+				t.Fatalf("drift %d %v did not warm-start", i, d)
+			}
+			if st := jj.Report.Stats; st.WarmReplays == 0 || st.WarmSeeded != 0 || st.StatesExplored != 0 {
+				t.Errorf("drift %d %v: replays %d, seeded %d, explored %d; want an instant witness",
+					i, d, st.WarmReplays, st.WarmSeeded, st.StatesExplored)
+			}
+		}
+		cfg, err := pr.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		guided, err := plant.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, stored := keptTrace(t, filepath.Join(dir, jj.Key+".ckpt"), guided.Goal)
+		if len(trace) != jj.Report.Result.TraceLen {
+			t.Fatalf("drift %d %v: kept witness has %d steps, the job reported %d", i, d, len(trace), jj.Report.Result.TraceLen)
+		}
+		if i > 0 && stored > len(trace)+1 {
+			t.Errorf("drift %d %v: kept snapshot holds %d states, want at most %d (its path)", i, d, stored, len(trace)+1)
+		}
+		cfg.Guides = plant.NoGuides
+		unguided, err := plant.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := plant.MapTrace(guided.Sys, unguided.Sys, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
+			t.Fatalf("drift %d %v: schedule fails the unguided replay: %v", i, d, err)
+		}
 	}
 }
 

@@ -311,7 +311,8 @@ type outcome struct {
 	resumed bool
 	// warmFrom names the checkpoint key whose final snapshot warm-started
 	// the search ("" for cold runs); set only when the engine confirmed
-	// the seeding took effect (mc.Result.WarmStarted).
+	// the seed took effect — its witness replayed or its states seeded the
+	// store (mc.Result.WarmStarted).
 	warmFrom string
 	err      error
 }

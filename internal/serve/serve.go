@@ -103,11 +103,15 @@ type Config struct {
 	// final snapshot on disk and uses those snapshots to seed later
 	// searches of nearby models: a query whose plant kind and options
 	// match a kept snapshot but whose model hash differs (a re-synthesis
-	// after a disturbance) starts from the prior run's re-validated state
-	// space instead of from scratch. Soundness is the engine's problem —
-	// see mc.WarmStartOptions — and the server additionally reruns cold
-	// whenever a cross-model warm start returns a negative or fails replay
-	// validation, so warm starts can change latency but never answers.
+	// after a disturbance) first replays the prior run's witness on the
+	// new model, and only when that fails starts from the prior run's
+	// re-validated state space instead of from scratch. A run answered by
+	// a replayed witness keeps just that path as its own snapshot, so a
+	// chain of such re-syntheses does not grow. Soundness is the engine's
+	// problem — see mc.WarmStartOptions — and the server additionally
+	// reruns cold whenever a cross-model warm start returns a negative or
+	// fails replay validation, so warm starts can change latency but never
+	// answers.
 	WarmStart bool
 	// CheckpointGCAge and CheckpointGCMax bound the checkpoint directory:
 	// checkpoint files older than GCAge (default 24h) or beyond the GCMax
@@ -586,11 +590,12 @@ func (s *Server) execute(ex *execution) *outcome {
 	// (mc.ErrWarmStart), and for any cross-model seed whose search ended
 	// negative or failed — a foreign model's state space may subsume zones
 	// this model would have explored further, so only a cold run may
-	// report "not satisfied". The retry is gated on the engine actually
-	// having seeded something (res.WarmStarted): a missing or unusable
-	// seed file, or one whose states were all dropped by re-validation,
-	// means the search already ran cold and rerunning it would just repeat
-	// the identical work. Seeding from the query's own
+	// report "not satisfied". The retry is gated on the seed actually
+	// having taken effect (res.WarmStarted: a replayed witness, which is
+	// never negative, or seeded states): a missing or unusable seed file,
+	// or one whose states were all dropped by re-validation, means the
+	// search already ran cold and rerunning it would just repeat the
+	// identical work. Seeding from the query's own
 	// key is exempt (the seeded zones are genuinely this model's), and
 	// canceled or limit-aborted searches are service outcomes either way.
 	// Warm starts change latency, never answers.
