@@ -2,7 +2,9 @@ package plant
 
 import (
 	"fmt"
+	"strconv"
 
+	"guidedta/internal/expr"
 	"guidedta/internal/ta"
 )
 
@@ -49,28 +51,30 @@ func (l *batchLocs) pointLoc(p int) int {
 // topology-and-physics component of a ladle (the paper's Figure 9; the
 // guided fragment is Figure 4).
 func (b *builder) buildBatch(bi int) {
-	a := b.sys.AddAutomaton(fmt.Sprintf("Batch%d", bi))
+	bs := strconv.Itoa(bi)
+	a := b.sys.AddAutomaton("Batch" + bs)
 	ai := len(b.sys.Automata) - 1
 	b.p.BatchAuto = append(b.p.BatchAuto, ai)
 	x := b.batchClock[bi]
-	unit := fmt.Sprintf("Load%d", bi)
+	unit := "Load" + bs
 	pm := b.cfg.Params
 
 	var L batchLocs
 	L.waiting = a.AddLocation("waiting", ta.Normal)
 	for tr := 1; tr <= NumTracks; tr++ {
 		for s := 0; s < TrackLen; s++ {
-			L.slot[tr][s] = a.AddLocation(fmt.Sprintf("t%ds%d", tr, s), ta.Normal)
+			L.slot[tr][s] = a.AddLocation("t"+strconv.Itoa(tr)+"s"+strconv.Itoa(s), ta.Normal)
 		}
 	}
 	for m := 1; m <= NumMach; m++ {
-		L.treat[m] = a.AddLocation(fmt.Sprintf("treat%d", m), ta.Normal)
+		L.treat[m] = a.AddLocation("treat"+strconv.Itoa(m), ta.Normal)
 	}
 	for c := 0; c < 2; c++ {
-		L.lifting[c] = a.AddLocation(fmt.Sprintf("lifting%d", c+1), ta.Normal)
-		L.carried[c] = a.AddLocation(fmt.Sprintf("crane%d", c+1), ta.Normal)
+		cs := strconv.Itoa(c + 1)
+		L.lifting[c] = a.AddLocation("lifting"+cs, ta.Normal)
+		L.carried[c] = a.AddLocation("crane"+cs, ta.Normal)
 		for _, p := range droppablePoints {
-			L.arr[c][p] = a.AddLocation(fmt.Sprintf("arr%d_%d", c+1, p), ta.Normal)
+			L.arr[c][p] = a.AddLocation("arr"+cs+"_"+strconv.Itoa(p), ta.Normal)
 		}
 	}
 	L.buf = a.AddLocation("buf", ta.Normal)
@@ -84,64 +88,67 @@ func (b *builder) buildBatch(bi int) {
 	// Pouring: the batch appears at a free load point, synchronized with
 	// its recipe (which chooses the track).
 	for tr := 1; tr <= NumTracks; tr++ {
-		occ := trackOccArray(tr)
+		ts := strconv.Itoa(tr)
+		load := b.trackOcc(tr)[SlotLoad]
 		ei := a.Edge(L.waiting, L.slot[tr][SlotLoad]).
-			Guard(fmt.Sprintf("%s[0] == 0", occ)).
-			Sync(fmt.Sprintf("goT%d_%d", tr, bi), ta.Recv).
-			Assign(fmt.Sprintf("%s[0] := 1", occ)).
+			GuardExpr(eq(load, num(0))). // posi[0] == 0
+			Sync("goT"+ts+"_"+bs, ta.Recv).
+			AssignExpr(set(load, num(1))). // posi[0] := 1
 			Done()
-		b.cmd(ai, ei, unit, fmt.Sprintf("PourTrack%d", tr), tr)
+		b.cmd(ai, ei, unit, "PourTrack"+ts, tr)
 	}
 
 	// Track moves: claim the destination slot, traverse for exactly BMove,
 	// release the source slot.
 	for tr := 1; tr <= NumTracks; tr++ {
-		occ := trackOccArray(tr)
 		for s := 0; s < TrackLen-1; s++ {
-			b.buildMove(a, ai, bi, &L, tr, s, s+1, occ, x, pm, unit)
+			b.buildMove(a, ai, bi, &L, tr, s, s+1, x, pm, unit)
 		}
 		for s := 1; s < TrackLen; s++ {
-			b.buildMove(a, ai, bi, &L, tr, s, s-1, occ, x, pm, unit)
+			b.buildMove(a, ai, bi, &L, tr, s, s-1, x, pm, unit)
 		}
 	}
 
 	// Machine treatments: the recipe drives on/off; while treating the
 	// batch cannot move.
 	for m := 1; m <= NumMach; m++ {
+		ms := strconv.Itoa(m)
 		slotLoc := L.slot[MachineTrack(m)][MachineSlot(m)]
 		on := a.Edge(slotLoc, L.treat[m]).
-			Sync(fmt.Sprintf("mon_%d", bi), ta.Recv).
+			Sync("mon_"+bs, ta.Recv).
 			Done()
-		b.cmd(ai, on, unit, fmt.Sprintf("Machine%dOn", m), m)
+		b.cmd(ai, on, unit, "Machine"+ms+"On", m)
 		off := a.Edge(L.treat[m], slotLoc).
-			Sync(fmt.Sprintf("moff_%d", bi), ta.Recv).
+			Sync("moff_"+bs, ta.Recv).
 			Done()
-		b.cmd(ai, off, unit, fmt.Sprintf("Machine%dOff", m), m)
+		b.cmd(ai, off, unit, "Machine"+ms+"Off", m)
 	}
 
 	// Crane pickups at liftable points (in guided models each crane only
 	// serves its work region).
 	for c := 0; c < 2; c++ {
+		cs := strconv.Itoa(c + 1)
 		for _, p := range b.liftPoints(c) {
 			e := a.Edge(L.pointLoc(p), L.lifting[c]).
-				Sync(fmt.Sprintf("lift%d_%d", c+1, p), ta.Send)
+				Sync(liftChan(cs, p), ta.Send)
 			switch p {
 			case PtEntry1, PtExit1:
 				if b.g.Route {
-					e.Guard(offTrackExpr(bi, 1)).Note("guide: lift only when leaving track")
+					e.GuardExpr(b.offTrackExpr(bi, 1)).Note("guide: lift only when leaving track")
 				}
 			case PtEntry2, PtExit2:
 				if b.g.Route {
-					e.Guard(offTrackExpr(bi, 2)).Note("guide: lift only when leaving track")
+					e.GuardExpr(b.offTrackExpr(bi, 2)).Note("guide: lift only when leaving track")
 				}
 			case PtBuffer:
 				if b.g.BufferGate {
-					e.Guard(fmt.Sprintf("next[%d] == cast && holdocc == 0 && castnext == %d", bi, bi)).
+					// next[b] == cast && holdocc == 0 && castnext == b
+					e.GuardExpr(and(and(eq(b.next[bi], b.cast), eq(b.holdocc, num(0))), eq(b.castnext, num(bi)))).
 						Note("guide: leave buffer only when it is this ladle's turn and the holding place is free")
 				}
 			}
 			if b.guided {
-				e.Assign(fmt.Sprintf("wantlift[%d] := 0", p))
+				e.AssignExpr(set(b.wantlift[p], num(0))) // wantlift[p] := 0
 			}
 			e.Done()
 		}
@@ -154,57 +161,64 @@ func (b *builder) buildBatch(bi int) {
 	// crane 2 moves them buffer-to-hold and empties to storage.
 	for c := 0; c < 2; c++ {
 		e := a.Edge(L.lifting[c], L.carried[c]).
-			Sync(fmt.Sprintf("lifted%d", c+1), ta.Recv)
+			Sync("lifted"+strconv.Itoa(c+1), ta.Recv)
 		if b.guided {
-			dest := fmt.Sprintf(
-				"cdest1 := (next[%d]<=3 ? 0 : (next[%d]<=5 ? 2 : %d))",
-				bi, bi, PtBuffer)
+			next := b.next[bi]
+			// cdest1 := (next[b]<=3 ? 0 : (next[b]<=5 ? 2 : 4))
+			dest := set(b.cdest[0], cond(le(next, num(3)), num(PtEntry1),
+				cond(le(next, num(5)), num(PtEntry2), num(PtBuffer))))
 			if c == 1 {
-				dest = fmt.Sprintf("cdest2 := (next[%d]==cast ? %d : %d)", bi, PtHold, PtStore)
+				// cdest2 := (next[b]==cast ? 5 : 7)
+				dest = set(b.cdest[1], cond(eq(next, b.cast), num(PtHold), num(PtStore)))
 			}
-			e.Assign(dest).Note("guide: crane carrying a batch is steered by the batch")
+			e.AssignExpr(dest).Note("guide: crane carrying a batch is steered by the batch")
 		}
 		e.Done()
 	}
 
 	// Set-downs: claim the landing slot, descend, arrive.
 	for c := 0; c < 2; c++ {
+		cs := strconv.Itoa(c + 1)
 		for _, p := range b.dropPoints(c) {
 			e := a.Edge(L.carried[c], L.arr[c][p]).
-				Sync(fmt.Sprintf("drop%d_%d", c+1, p), ta.Send)
-			if occ := pointOccLValue(p); occ != "" {
-				e.Guard(occ + " == 0").Assign(occ + " := 1")
+				Sync(dropChan(cs, p), ta.Send)
+			if occ := b.pointOcc(p); occ != nil {
+				e.GuardExpr(eq(occ, num(0))).AssignExpr(set(occ, num(1))) // occ == 0; occ := 1
 			}
 			if b.g.Steer {
-				e.Guard(fmt.Sprintf("cdest%d == %d", c+1, p)).
+				// cdestC == p
+				e.GuardExpr(eq(b.cdest[c], num(p))).
 					Note("guide: set down only at the programmed destination")
 			}
 			e.Done()
 
 			arrive := a.Edge(L.arr[c][p], b.dropTarget(&L, p)).
-				Sync(fmt.Sprintf("dropped%d", c+1), ta.Recv)
+				Sync("dropped"+cs, ta.Recv)
 			switch p {
 			case PtEntry1, PtExit1:
 				if b.guided {
-					arrive.Assign(fmt.Sprintf("wantlift[%d] := (%s ? 1 : 0)", p, offTrackExpr(bi, 1)))
+					// wantlift[p] := (next[b] >= 4 ? 1 : 0)
+					arrive.AssignExpr(set(b.wantlift[p], flag(b.offTrackExpr(bi, 1))))
 				}
 			case PtEntry2, PtExit2:
 				if b.guided {
-					arrive.Assign(fmt.Sprintf("wantlift[%d] := (%s ? 1 : 0)", p, offTrackExpr(bi, 2)))
+					// wantlift[p] := ((next[b] <= 3 || next[b] >= 6) ? 1 : 0)
+					arrive.AssignExpr(set(b.wantlift[p], flag(b.offTrackExpr(bi, 2))))
 				}
 			case PtBuffer:
 				if b.guided {
-					arrive.Assign(fmt.Sprintf("wantlift[%d] := (holdocc == 0 ? 1 : 0)", p))
+					// wantlift[p] := (holdocc == 0 ? 1 : 0)
+					arrive.AssignExpr(set(b.wantlift[p], flag(eq(b.holdocc, num(0)))))
 				}
 				if b.g.CastPace {
-					arrive.Assign(fmt.Sprintf("progress[%d] := 1", bi))
+					arrive.AssignExpr(set(b.progress[bi], num(1))) // progress[b] := 1
 				}
 			case PtHold:
 				if b.g.CastPace {
-					arrive.Assign(fmt.Sprintf("progress[%d] := 1", bi))
+					arrive.AssignExpr(set(b.progress[bi], num(1))) // progress[b] := 1
 				}
 			case PtStore:
-				arrive.Assign("stored := stored + 1")
+				arrive.AssignExpr(incr(b.stored)) // stored := stored + 1
 			}
 			arrive.Done()
 		}
@@ -214,36 +228,39 @@ func (b *builder) buildBatch(bi int) {
 	// wait for the cast to finish, then appear at the caster output as an
 	// empty ladle.
 	start := a.Edge(L.hold, L.casting0).
-		Guard(fmt.Sprintf("castnext == %d", bi)).
+		GuardExpr(eq(b.castnext, num(bi))). // castnext == b
 		Sync("caststart", ta.Send).
-		Assign("castnext := castnext + 1, holdocc := 0")
+		AssignExpr(incr(b.castnext), set(b.holdocc, num(0))) // castnext := castnext + 1, holdocc := 0
 	if b.guided {
-		start.Assign("wantlift[4] := bufocc").
+		// wantlift[4] := bufocc
+		start.AssignExpr(set(b.wantlift[PtBuffer], b.bufocc)).
 			Note("guide: flag a buffered batch once the holding place frees")
 	}
 	if b.g.CastPace && bi < b.n-1 {
 		// Casting must be continuous: commit to a cast only when the next
 		// ladle of the production list is already staged in the buffer (or
-		// holding) area, three time units from the holding place.
-		start.Guard(fmt.Sprintf("progress[%d] == 1", bi+1)).
+		// holding) area, three time units from the holding place:
+		// progress[b+1] == 1.
+		start.GuardExpr(eq(b.progress[bi+1], num(1))).
 			Note("guide: cast only when the next ladle is staged nearby")
 	}
 	ei := start.Done()
-	b.cmd(ai, ei, "Caster", fmt.Sprintf("CastLoad%d", bi), bi)
+	b.cmd(ai, ei, "Caster", "CastLoad"+bs, bi)
 
 	a.Edge(L.casting0, L.casting).
-		Sync(fmt.Sprintf("atcast_%d", bi), ta.Send).
+		Sync("atcast_"+bs, ta.Send).
 		Done()
 
 	eject := a.Edge(L.casting, L.out).
-		Guard("outocc == 0").
+		GuardExpr(eq(b.outocc, num(0))). // outocc == 0
 		Sync("castdone", ta.Recv).
-		Assign("outocc := 1")
+		AssignExpr(set(b.outocc, num(1))) // outocc := 1
 	if b.guided {
-		eject.Assign(fmt.Sprintf("next[%d] := store, wantlift[%d] := 1", bi, PtCastOut))
+		// next[b] := store, wantlift[6] := 1
+		eject.AssignExpr(set(b.next[bi], b.store), set(b.wantlift[PtCastOut], num(1)))
 	}
 	ei = eject.Done()
-	b.cmd(ai, ei, "Caster", fmt.Sprintf("EjectLoad%d", bi), bi)
+	b.cmd(ai, ei, "Caster", "EjectLoad"+bs, bi)
 }
 
 // dropTarget maps a drop point to the batch location reached after the
@@ -256,40 +273,43 @@ func (b *builder) dropTarget(L *batchLocs, p int) int {
 }
 
 // buildMove emits the two-edge claim/traverse pattern for one slot move.
-func (b *builder) buildMove(a *ta.Automaton, ai, bi int, L *batchLocs, tr, from, to int, occ string, x int, pm Params, unit string) {
+func (b *builder) buildMove(a *ta.Automaton, ai, bi int, L *batchLocs, tr, from, to int, x int, pm Params, unit string) {
 	dir := "Right"
 	suffix := "r"
 	if to < from {
 		dir = "Left"
 		suffix = "l"
 	}
-	transit := a.AddLocation(fmt.Sprintf("t%ds%d%s", tr, from, suffix), ta.Normal)
+	ts := strconv.Itoa(tr)
+	transit := a.AddLocation("t"+ts+"s"+strconv.Itoa(from)+suffix, ta.Normal)
 	a.SetInvariant(transit, ta.LE(x, pm.BMove))
 
+	occ := b.trackOcc(tr)
 	claim := a.Edge(L.slot[tr][from], transit).
-		Guard(fmt.Sprintf("%s[%d] == 0", occ, to)).
-		Assign(fmt.Sprintf("%s[%d] := 1", occ, to)).
+		GuardExpr(eq(occ[to], num(0))).   // posi[to] == 0
+		AssignExpr(set(occ[to], num(1))). // posi[to] := 1
 		Reset(x)
 	if m := MachineAtSlot(tr, from); m != 0 {
-		claim.Assign(fmt.Sprintf("atm[%d] := 0", bi))
+		claim.AssignExpr(set(b.atm[bi], num(0))) // atm[b] := 0
 	}
 	if b.guided && (from == SlotLoad || from == SlotExit) {
-		claim.Assign(fmt.Sprintf("wantlift[%d] := 0", b.slotPoint(tr, from)))
+		claim.AssignExpr(set(b.wantlift[b.slotPoint(tr, from)], num(0))) // wantlift[p] := 0
 	}
 	if b.g.Route {
-		claim.Guard(b.moveGuard(bi, tr, from, to)).Note("guide: move only along the direct route")
+		claim.GuardExpr(b.moveGuard(bi, tr, from, to)).Note("guide: move only along the direct route")
 	}
 	ei := claim.Done()
-	b.cmd(ai, ei, unit, fmt.Sprintf("Track%d%s", tr, dir), from)
+	b.cmd(ai, ei, unit, "Track"+ts+dir, from)
 
 	arrive := a.Edge(transit, L.slot[tr][to]).
 		When(ta.GE(x, pm.BMove)).
-		Assign(fmt.Sprintf("%s[%d] := 0", occ, from))
+		AssignExpr(set(occ[from], num(0))) // posi[from] := 0
 	if m := MachineAtSlot(tr, to); m != 0 {
-		arrive.Assign(fmt.Sprintf("atm[%d] := %d", bi, m))
+		arrive.AssignExpr(set(b.atm[bi], num(m))) // atm[b] := m
 	}
 	if b.guided && (to == SlotLoad || to == SlotExit) {
-		arrive.Assign(fmt.Sprintf("wantlift[%d] := (%s ? 1 : 0)", b.slotPoint(tr, to), offTrackExpr(bi, tr)))
+		// wantlift[p] := (offtrack ? 1 : 0)
+		arrive.AssignExpr(set(b.wantlift[b.slotPoint(tr, to)], flag(b.offTrackExpr(bi, tr))))
 	}
 	arrive.Done()
 }
@@ -306,20 +326,25 @@ func (b *builder) slotPoint(tr, slot int) int {
 // `from` toward `to` on track tr (the paper's Figure 4 decoration: "next
 // must be m1 to move left of i2; next must be beyond the track to be picked
 // up").
-func (b *builder) moveGuard(bi, tr, from, to int) string {
-	var destSlot, offTrack string
+func (b *builder) moveGuard(bi, tr, from, to int) expr.Expr {
+	next := b.next[bi]
+	var destSlot expr.Expr
 	if tr == 1 {
-		destSlot = fmt.Sprintf("(next[%d]==1 ? 1 : (next[%d]==2 ? 3 : 5))", bi, bi)
-		offTrack = fmt.Sprintf("next[%d] >= 4", bi)
+		// (next[b]==1 ? 1 : (next[b]==2 ? 3 : 5))
+		destSlot = cond(eq(next, num(M1)), num(MachineSlot(M1)),
+			cond(eq(next, num(M2)), num(MachineSlot(M2)), num(MachineSlot(M3))))
 	} else {
-		destSlot = fmt.Sprintf("(next[%d]==4 ? 1 : 3)", bi)
-		offTrack = fmt.Sprintf("(next[%d] <= 3 || next[%d] >= 6)", bi, bi)
+		// (next[b]==4 ? 1 : 3)
+		destSlot = cond(eq(next, num(M4)), num(MachineSlot(M4)), num(MachineSlot(M5)))
 	}
+	offTrack := b.offTrackExpr(bi, tr)
 	if to > from {
 		// Rightward: either the destination lies off this track (head for
-		// the exit) or it is a machine further right.
-		return fmt.Sprintf("(%s) || %s > %d", offTrack, destSlot, from)
+		// the exit) or it is a machine further right:
+		// (offtrack) || destslot > from.
+		return or(offTrack, gt(destSlot, num(from)))
 	}
-	// Leftward: only toward an on-track machine further left.
-	return fmt.Sprintf("!(%s) && %s < %d", offTrack, destSlot, from)
+	// Leftward: only toward an on-track machine further left:
+	// !(offtrack) && destslot < from.
+	return and(not(offTrack), lt(destSlot, num(from)))
 }

@@ -1,9 +1,8 @@
 package plant
 
 import (
-	"fmt"
+	"strconv"
 
-	"guidedta/internal/expr"
 	"guidedta/internal/mc"
 	"guidedta/internal/ta"
 )
@@ -39,20 +38,21 @@ func (b *builder) buildCaster() {
 
 	// Cast completion: continue with the next ladle (committed turn) or
 	// finish after the last one.
+	// castsdone < n-1 / castsdone == n-1; castsdone := castsdone + 1
 	if n > 1 {
 		a.Edge(casting, turn).
 			When(ta.GE(cc, castTime)).
-			Guard(fmt.Sprintf("castsdone < %d", n-1)).
+			GuardExpr(lt(b.castsdone, num(n-1))).
 			Sync("castdone", ta.Send).
-			Assign("castsdone := castsdone + 1").
+			AssignExpr(incr(b.castsdone)).
 			Reset(cc).
 			Done()
 	}
 	a.Edge(casting, done).
 		When(ta.GE(cc, castTime)).
-		Guard(fmt.Sprintf("castsdone == %d", n-1)).
+		GuardExpr(eq(b.castsdone, num(n-1))).
 		Sync("castdone", ta.Send).
-		Assign("castsdone := castsdone + 1").
+		AssignExpr(incr(b.castsdone)).
 		Done()
 
 	a.Edge(turn, casting).
@@ -70,13 +70,14 @@ func (b *builder) buildList() {
 	producing := a.AddLocation("producing", ta.Normal)
 	finished := a.AddLocation("finished", ta.Normal)
 	a.SetInit(producing)
+	allStored := eq(b.stored, num(b.n)) // stored == n
 	a.Edge(producing, finished).
-		Guard(fmt.Sprintf("stored == %d", b.n)).
+		GuardExpr(allStored).
 		Done()
 
 	b.p.Goal = mc.Goal{
-		Desc: fmt.Sprintf("schedule %d batches (%s guides)", b.n, b.cfg.Guides),
-		Expr: expr.MustParse(fmt.Sprintf("stored == %d", b.n), b.sys.Table),
+		Desc: "schedule " + strconv.Itoa(b.n) + " batches (" + b.cfg.Guides.String() + " guides)",
+		Expr: allStored,
 		Locs: []mc.LocRequirement{{Automaton: b.p.ListAuto, Location: finished}},
 	}
 }

@@ -1,8 +1,9 @@
 package plant
 
 import (
-	"fmt"
+	"strconv"
 
+	"guidedta/internal/expr"
 	"guidedta/internal/ta"
 )
 
@@ -14,18 +15,20 @@ import (
 // a full crane moves only toward the destination its batch programmed.
 func (b *builder) buildCrane(ci int) {
 	c := ci + 1 // 1-based crane id in names
-	a := b.sys.AddAutomaton(fmt.Sprintf("Crane%d", c))
+	cs := strconv.Itoa(c)
+	unit := "Crane" + cs
+	a := b.sys.AddAutomaton(unit)
 	ai := len(b.sys.Automata) - 1
 	b.p.CraneAuto[ci] = ai
 	x := b.craneClock[ci]
 	pm := b.cfg.Params
-	unit := fmt.Sprintf("Crane%d", c)
 
 	empty := make([]int, NumPts)
 	full := make([]int, NumPts)
 	for p := 0; p < NumPts; p++ {
-		empty[p] = a.AddLocation(fmt.Sprintf("e%d", p), ta.Normal)
-		full[p] = a.AddLocation(fmt.Sprintf("f%d", p), ta.Normal)
+		ps := strconv.Itoa(p)
+		empty[p] = a.AddLocation("e"+ps, ta.Normal)
+		full[p] = a.AddLocation("f"+ps, ta.Normal)
 	}
 	if ci == 0 {
 		a.SetInit(empty[PtEntry1])
@@ -50,19 +53,21 @@ func (b *builder) buildCrane(ci int) {
 	// the landing position. (The hoisting delay is the one whose omission
 	// was the paper's modeling error #1.)
 	for _, p := range b.liftPoints(ci) {
-		hoist := a.AddLocation(fmt.Sprintf("hoist%d", p), ta.Normal)
+		hoist := a.AddLocation("hoist"+strconv.Itoa(p), ta.Normal)
 		a.SetInvariant(hoist, ta.LE(x, pm.CUp))
 		ei := a.Edge(empty[p], hoist).
-			Sync(fmt.Sprintf("lift%d_%d", c, p), ta.Recv).
+			Sync(liftChan(cs, p), ta.Recv).
 			Reset(x).
 			Done()
 		b.cmd(ai, ei, unit, "PickupAt"+PointName(p), p)
+		// The landing position frees: posi[0] := 0, bufocc := 0, ...
 		done := a.Edge(hoist, full[p]).
 			When(ta.GE(x, pm.CUp)).
-			Sync(fmt.Sprintf("lifted%d", c), ta.Send).
-			Assign(pointOccLValue(p) + " := 0")
+			Sync("lifted"+cs, ta.Send).
+			AssignExpr(set(b.pointOcc(p), num(0)))
 		if b.guided {
-			done.Assign("creqby := " + fmt.Sprint(c)).
+			// creqby := c
+			done.AssignExpr(set(b.creqby, num(c))).
 				Note("guide: ask the other crane to give way while loaded")
 		}
 		done.Done()
@@ -70,18 +75,18 @@ func (b *builder) buildCrane(ci int) {
 
 	// Set-downs: receive the batch's drop request, lower for CDown.
 	for _, p := range b.dropPoints(ci) {
-		lower := a.AddLocation(fmt.Sprintf("lower%d", p), ta.Normal)
+		lower := a.AddLocation("lower"+strconv.Itoa(p), ta.Normal)
 		a.SetInvariant(lower, ta.LE(x, pm.CDown))
 		ei := a.Edge(full[p], lower).
-			Sync(fmt.Sprintf("drop%d_%d", c, p), ta.Recv).
+			Sync(dropChan(cs, p), ta.Recv).
 			Reset(x).
 			Done()
 		b.cmd(ai, ei, unit, "PutdownAt"+PointName(p), p)
 		done := a.Edge(lower, empty[p]).
 			When(ta.GE(x, pm.CDown)).
-			Sync(fmt.Sprintf("dropped%d", c), ta.Send)
+			Sync("dropped"+cs, ta.Send)
 		if b.guided {
-			done.Assign("creqby := 0")
+			done.AssignExpr(set(b.creqby, num(0))) // creqby := 0
 		}
 		done.Done()
 	}
@@ -98,20 +103,22 @@ func (b *builder) buildCraneMove(a *ta.Automaton, ai, ci int, locs []int, from, 
 	if loaded {
 		state = "f"
 	}
-	transit := a.AddLocation(fmt.Sprintf("%s%dmv%d", state, from, to), ta.Normal)
+	transit := a.AddLocation(state+strconv.Itoa(from)+"mv"+strconv.Itoa(to), ta.Normal)
 	a.SetInvariant(transit, ta.LE(x, pm.CMove))
 
+	// cpos[to] == 0; cpos[to] := 1
 	claim := a.Edge(locs[from], transit).
-		Guard(fmt.Sprintf("cpos[%d] == 0", to)).
-		Assign(fmt.Sprintf("cpos[%d] := 1", to)).
+		GuardExpr(eq(b.cpos[to], num(0))).
+		AssignExpr(set(b.cpos[to], num(1))).
 		Reset(x)
 	if loaded {
 		if b.g.Steer {
-			cmp := ">"
+			// cdestC > from (rightward) or cdestC < from (leftward)
+			toward := gt(b.cdest[ci], num(from))
 			if to < from {
-				cmp = "<"
+				toward = lt(b.cdest[ci], num(from))
 			}
-			claim.Guard(fmt.Sprintf("cdest%d %s %d", c, cmp, from)).
+			claim.GuardExpr(toward).
 				Note("guide: loaded crane moves only toward its destination")
 		}
 	} else if b.g.Demand {
@@ -125,11 +132,13 @@ func (b *builder) buildCraneMove(a *ta.Automaton, ai, ci int, locs []int, from, 
 			// other, so crane 1 only ever needs to yield leftward and
 			// crane 2 rightward.
 			away := (ci == 0 && to < from) || (ci == 1 && to > from)
-			g := fmt.Sprintf("%s > 0", b.wantliftSum(ci, from, to))
+			// wantlift[p]+... > 0, and on give-way moves
+			// (wantlift[p]+... > 0) || (creqby != 0 && creqby != c)
+			g := gt(b.wantliftSum(ci, from, to), num(0))
 			if away {
-				g = fmt.Sprintf("(%s) || (creqby != 0 && creqby != %d)", g, c)
+				g = or(g, and(ne(b.creqby, num(0)), ne(b.creqby, num(c))))
 			}
-			claim.Guard(g).
+			claim.GuardExpr(g).
 				Note("guide: empty crane moves only toward work or to give way")
 		}
 	}
@@ -138,28 +147,27 @@ func (b *builder) buildCraneMove(a *ta.Automaton, ai, ci int, locs []int, from, 
 
 	a.Edge(transit, locs[to]).
 		When(ta.GE(x, pm.CMove)).
-		Assign(fmt.Sprintf("cpos[%d] := 0", from)).
+		AssignExpr(set(b.cpos[from], num(0))). // cpos[from] := 0
 		Done()
 }
 
 // wantliftSum is the guide expression summing the wantlift flags in the
 // movement direction (strictly beyond the current position, within the
-// crane's serviceable points).
-func (b *builder) wantliftSum(ci, from, to int) string {
-	s := ""
-	add := func(p int) {
-		if s != "" {
-			s += "+"
-		}
-		s += fmt.Sprintf("wantlift[%d]", p)
-	}
+// crane's serviceable points): wantlift[p]+wantlift[q]+..., or 0 when no
+// such point exists.
+func (b *builder) wantliftSum(ci, from, to int) expr.Expr {
+	var s expr.Expr
 	for _, p := range b.liftPoints(ci) {
 		if (to > from && p > from) || (to < from && p < from) {
-			add(p)
+			if s == nil {
+				s = b.wantlift[p]
+			} else {
+				s = add(s, b.wantlift[p])
+			}
 		}
 	}
-	if s == "" {
-		s = "0"
+	if s == nil {
+		return num(0)
 	}
 	return s
 }

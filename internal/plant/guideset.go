@@ -89,7 +89,7 @@ func (g GuideSet) String() string {
 		}
 	}
 	if g.PourWindow > 0 {
-		parts = append(parts, fmt.Sprintf("window=%d", g.PourWindow))
+		parts = append(parts, "window="+strconv.Itoa(g.PourWindow))
 	}
 	if len(parts) == 0 {
 		return "none"

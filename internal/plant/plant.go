@@ -12,7 +12,9 @@ package plant
 
 import (
 	"fmt"
+	"strconv"
 
+	"guidedta/internal/expr"
 	"guidedta/internal/mc"
 	"guidedta/internal/ta"
 )
@@ -278,6 +280,18 @@ type builder struct {
 	totalClock  []int // per-batch recipe total-time clock
 	craneClock  [2]int
 	casterClock int
+
+	// The model's variables and the named constants the trees use, as
+	// declared by declareState. The guide variables are set only when
+	// their families are compiled in.
+	posi, posii, cpos, atm      array
+	bufocc, holdocc, outocc     cell
+	castnext, castsdone, stored cell
+	next, wantlift, progress    array
+	cdest                       [2]cell
+	creqby, nextbatch           cell
+	cast, store                 expr.Expr
+	trackSum                    [NumTracks + 1]expr.Expr // by track
 }
 
 // Build constructs the plant model for cfg.
@@ -305,7 +319,7 @@ func Build(cfg Config) (*Plant, error) {
 	if cfg.GuideSet != nil {
 		label = g.String()
 	}
-	b.sys = ta.NewSystem(fmt.Sprintf("sidmar-%d-%s", b.n, label))
+	b.sys = ta.NewSystem("sidmar-" + strconv.Itoa(b.n) + "-" + label)
 	b.p = &Plant{Sys: b.sys, Cfg: cfg, commands: make(map[edgeKey]Command)}
 
 	b.declareState()
@@ -340,52 +354,65 @@ func MustBuild(cfg Config) *Plant {
 	return p
 }
 
-// declareState declares clocks, variables, and named constants.
+// declareState declares clocks, variables, and named constants, and keeps
+// each variable as the tree node the guards and updates use.
 func (b *builder) declareState() {
 	t := b.sys.Table
+	array := func(name string, n int, init ...int32) array {
+		base := t.DeclareArray(name, n, init...)
+		a := make(array, n)
+		for i := range a {
+			a[i] = expr.Index{Base: base, Size: n, Idx: num(i), Name: name}
+		}
+		return a
+	}
+	scalar := func(name string) cell {
+		return expr.Var{Off: t.DeclareVar(name, 0), Name: name}
+	}
 
 	b.p.GlobalClock = b.sys.AddClock("gt")
 	b.batchClock = make([]int, b.n)
 	b.treatClock = make([]int, b.n)
 	b.totalClock = make([]int, b.n)
 	for i := 0; i < b.n; i++ {
-		b.batchClock[i] = b.sys.AddClock(fmt.Sprintf("xb%d", i))
-		b.treatClock[i] = b.sys.AddClock(fmt.Sprintf("t%d", i))
-		b.totalClock[i] = b.sys.AddClock(fmt.Sprintf("tot%d", i))
+		is := strconv.Itoa(i)
+		b.batchClock[i] = b.sys.AddClock("xb" + is)
+		b.treatClock[i] = b.sys.AddClock("t" + is)
+		b.totalClock[i] = b.sys.AddClock("tot" + is)
 	}
 	b.craneClock[0] = b.sys.AddClock("xc1")
 	b.craneClock[1] = b.sys.AddClock("xc2")
 	b.casterClock = b.sys.AddClock("cc")
 
-	t.DeclareArray("posi", TrackLen)
-	t.DeclareArray("posii", TrackLen)
+	b.posi = array("posi", TrackLen)
+	b.posii = array("posii", TrackLen)
 	// Cranes start parked at the far ends of the overhead track.
 	cposInit := make([]int32, NumPts)
 	cposInit[PtEntry1] = 1
 	cposInit[PtStore] = 1
-	t.DeclareArray("cpos", NumPts, cposInit...)
-	t.DeclareVar("bufocc", 0)
-	t.DeclareVar("holdocc", 0)
-	t.DeclareVar("outocc", 0)
-	t.DeclareArray("atm", b.n)
-	t.DeclareVar("castnext", 0)
-	t.DeclareVar("castsdone", 0)
-	t.DeclareVar("stored", 0)
+	b.cpos = array("cpos", NumPts, cposInit...)
+	b.bufocc = scalar("bufocc")
+	b.holdocc = scalar("holdocc")
+	b.outocc = scalar("outocc")
+	b.atm = array("atm", b.n)
+	b.castnext = scalar("castnext")
+	b.castsdone = scalar("castsdone")
+	b.stored = scalar("stored")
 
 	if b.guided {
-		t.DeclareArray("next", b.n)
-		t.DeclareArray("wantlift", NumPts)
-		t.DeclareVar("cdest1", 0)
-		t.DeclareVar("cdest2", 0)
-		t.DeclareVar("creqby", 0)
+		b.next = array("next", b.n)
+		b.wantlift = array("wantlift", NumPts)
+		b.cdest[0] = scalar("cdest1")
+		b.cdest[1] = scalar("cdest2")
+		b.creqby = scalar("creqby")
 	}
 	if b.g.PourOrder {
-		t.DeclareVar("nextbatch", 0)
+		b.nextbatch = scalar("nextbatch")
 	}
 	if b.g.CastPace {
 		// progress[b] flips to 1 once batch b, bound for the caster, has
 		// reached a track exit; the cast-pacing guide keys on it.
-		t.DeclareArray("progress", b.n)
+		b.progress = array("progress", b.n)
 	}
 
 	t.DefineConst("m1", M1)
@@ -396,6 +423,12 @@ func (b *builder) declareState() {
 	t.DefineConst("cast", DestCast)
 	t.DefineConst("store", DestStore)
 	t.DefineConst("nbatch", int32(b.n))
+	b.cast = expr.Const{Val: DestCast, Name: "cast"}
+	b.store = expr.Const{Val: DestStore, Name: "store"}
+
+	for tr := 1; tr <= NumTracks; tr++ {
+		b.trackSum[tr] = trackSum(b.trackOcc(tr))
+	}
 }
 
 // declareChannels declares all synchronization channels and records the
@@ -406,11 +439,12 @@ func (b *builder) declareChannels() {
 		b.p.chanPrio[b.sys.AddChannel(name, false)] = prio
 	}
 	for i := 0; i < b.n; i++ {
-		add(fmt.Sprintf("goT1_%d", i), 4)
-		add(fmt.Sprintf("goT2_%d", i), 4)
-		add(fmt.Sprintf("mon_%d", i), 5)
-		add(fmt.Sprintf("moff_%d", i), 5)
-		add(fmt.Sprintf("atcast_%d", i), 6)
+		is := strconv.Itoa(i)
+		add("goT1_"+is, 4)
+		add("goT2_"+is, 4)
+		add("mon_"+is, 5)
+		add("moff_"+is, 5)
+		add("atcast_"+is, 6)
 	}
 	add("caststart", 6)
 	// Completing a cast is the one transition worth postponing: it is
@@ -418,14 +452,15 @@ func (b *builder) declareChannels() {
 	// the next ladle's delivery ends in a continuity dead-end.
 	add("castdone", -10)
 	for c := 1; c <= 2; c++ {
+		cs := strconv.Itoa(c)
 		for _, p := range liftablePoints {
-			add(fmt.Sprintf("lift%d_%d", c, p), 7)
+			add(liftChan(cs, p), 7)
 		}
 		for _, p := range droppablePoints {
-			add(fmt.Sprintf("drop%d_%d", c, p), 7)
+			add(dropChan(cs, p), 7)
 		}
-		add(fmt.Sprintf("lifted%d", c), 7)
-		add(fmt.Sprintf("dropped%d", c), 7)
+		add("lifted"+cs, 7)
+		add("dropped"+cs, 7)
 	}
 }
 
@@ -438,38 +473,45 @@ func (b *builder) cmd(auto, edge int, unit, action string, arg ...int) {
 	b.p.commands[edgeKey{auto, edge}] = c
 }
 
-// trackSums are the guide expressions comparing track loads (the paper's
-// posi[0]+...+posi[5] <= posii[0]+...+posii[6] machine-choice heuristic).
-func trackSum(track int) string {
-	arr := trackOccArray(track)
-	s := ""
-	for i := 0; i < TrackLen; i++ {
-		if i > 0 {
-			s += "+"
-		}
-		s += fmt.Sprintf("%s[%d]", arr, i)
+// liftChan and dropChan name crane cs's pickup and set-down channels at
+// point p.
+func liftChan(cs string, p int) string { return "lift" + cs + "_" + strconv.Itoa(p) }
+func dropChan(cs string, p int) string { return "drop" + cs + "_" + strconv.Itoa(p) }
+
+// trackSum is the guide expression summing a track's loads, arr[0]+...+arr[6]
+// (the two sides of the paper's posi[0]+...+posi[6] <= posii[0]+...+posii[6]
+// machine-choice heuristic).
+func trackSum(arr array) expr.Expr {
+	s := expr.Expr(arr[0])
+	for i := 1; i < TrackLen; i++ {
+		s = add(s, arr[i])
 	}
 	return s
 }
 
 // stageChoiceExpr builds the guided machine choice for a stage: the machine
 // on the emptier track, with a -2 bias toward staying on the current track
-// (mirroring the paper's second guide expression). For single-machine
-// stages the expression is the constant machine id.
-func stageChoiceExpr(st Stage, batch int, bias bool) string {
+// (mirroring the paper's second guide expression),
+//
+//	(posi[0]+...+posi[6]+(next[b]<=3 ? 0-2 : 0) <= posii[0]+...+posii[6]+(next[b]>=4 ? 0-2 : 0) ? mT1 : mT2)
+//
+// For single-machine stages the expression is the constant machine id.
+func (b *builder) stageChoiceExpr(st Stage, batch int, bias bool) expr.Expr {
 	if len(st.Machines) == 1 {
-		return fmt.Sprintf("%d", st.Machines[0])
+		return num(st.Machines[0])
 	}
 	mT1, mT2 := st.Machines[0], st.Machines[1]
 	if MachineTrack(mT1) != 1 {
 		mT1, mT2 = mT2, mT1
 	}
-	left, right := trackSum(1), trackSum(2)
+	left, right := b.trackSum[1], b.trackSum[2]
 	if bias {
-		left += fmt.Sprintf("+(next[%d]<=3 ? 0-2 : 0)", batch)
-		right += fmt.Sprintf("+(next[%d]>=4 ? 0-2 : 0)", batch)
+		next := b.next[batch]
+		minus2 := sub(num(0), num(2))
+		left = add(left, cond(le(next, num(3)), minus2, num(0)))
+		right = add(right, cond(ge(next, num(4)), minus2, num(0)))
 	}
-	return fmt.Sprintf("(%s <= %s ? %d : %d)", left, right, mT1, mT2)
+	return cond(le(left, right), num(mT1), num(mT2))
 }
 
 // Crane work regions (a guide). In guided models crane 1 serves the track
@@ -515,12 +557,13 @@ func (b *builder) craneRange(ci int) (lo, hi int) {
 }
 
 // offTrackExpr is the guided condition "this batch's destination is not on
-// track t" used to gate lifts and wantlift flags.
-func offTrackExpr(batch, track int) string {
+// track t" used to gate lifts, wantlift flags and route moves.
+func (b *builder) offTrackExpr(batch, track int) expr.Expr {
+	next := b.next[batch]
 	if track == 1 {
-		// Off track 1: m4, m5, cast, store (>= 4).
-		return fmt.Sprintf("next[%d] >= 4", batch)
+		// Off track 1: m4, m5, cast, store — next[b] >= 4.
+		return ge(next, num(4))
 	}
-	// Off track 2: m1..m3 or cast/store.
-	return fmt.Sprintf("(next[%d] <= 3 || next[%d] >= 6)", batch, batch)
+	// Off track 2: m1..m3 or cast/store — next[b] <= 3 || next[b] >= 6.
+	return or(le(next, num(3)), ge(next, num(6)))
 }

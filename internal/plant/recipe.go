@@ -1,9 +1,9 @@
 package plant
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
+	"guidedta/internal/expr"
 	"guidedta/internal/ta"
 )
 
@@ -16,7 +16,8 @@ import (
 func (b *builder) buildRecipe(bi int) {
 	q := b.cfg.Qualities[bi]
 	stages := b.cfg.Params.Stages(q)
-	a := b.sys.AddAutomaton(fmt.Sprintf("Recipe%d_%s", bi, qualityName(q)))
+	bs := strconv.Itoa(bi)
+	a := b.sys.AddAutomaton("Recipe" + bs + "_" + qualityName(q))
 	b.p.RecipeAuto = append(b.p.RecipeAuto, len(b.sys.Automata)-1)
 
 	t := b.treatClock[bi]
@@ -28,9 +29,10 @@ func (b *builder) buildRecipe(bi int) {
 	goLoc := make([]int, len(stages))
 	onLoc := make([]int, len(stages))
 	for k, st := range stages {
-		goLoc[k] = a.AddLocation(fmt.Sprintf("go%d", k), ta.Normal)
+		ks := strconv.Itoa(k)
+		goLoc[k] = a.AddLocation("go"+ks, ta.Normal)
 		a.SetInvariant(goLoc[k], ta.LE(tot, dl))
-		onLoc[k] = a.AddLocation(fmt.Sprintf("on%d", k), ta.Normal)
+		onLoc[k] = a.AddLocation("on"+ks, ta.Normal)
 		a.SetInvariant(onLoc[k], ta.LE(t, st.Time), ta.LE(tot, dl))
 	}
 	tocast := a.AddLocation("tocast", ta.Normal)
@@ -48,17 +50,19 @@ func (b *builder) buildRecipe(bi int) {
 			continue
 		}
 		e := a.Edge(idle, goLoc[0]).
-			Sync(fmt.Sprintf("goT%d_%d", tr, bi), ta.Send).
+			Sync("goT"+strconv.Itoa(tr)+"_"+bs, ta.Send).
 			Reset(tot)
 		if b.guided {
-			e.Assign(fmt.Sprintf("next[%d] := %d", bi, m)).
+			// next[b] := m
+			e.AssignExpr(set(b.next[bi], num(m))).
 				Note("guide: head for the chosen first machine")
 			if b.g.Balance && len(first.Machines) > 1 {
-				cmp := "<="
+				// posi[0]+...+posi[6] <= posii[0]+...+posii[6] on track 1, > on track 2
+				emptier := le(b.trackSum[1], b.trackSum[2])
 				if tr == 2 {
-					cmp = ">"
+					emptier = gt(b.trackSum[1], b.trackSum[2])
 				}
-				e.Guard(fmt.Sprintf("%s %s %s", trackSum(1), cmp, trackSum(2))).
+				e.GuardExpr(emptier).
 					Note("guide: start on the emptier track")
 			}
 		}
@@ -69,15 +73,21 @@ func (b *builder) buildRecipe(bi int) {
 		// on the progress of the batch just before it", keyed here to
 		// casting progress). The two conjuncts are separate guide families
 		// so the search layer can weigh ordering and pacing independently.
-		var pour []string
+		// nextbatch == b && castnext > b-w
+		var pour expr.Expr
 		if b.g.PourOrder {
-			pour = append(pour, fmt.Sprintf("nextbatch == %d", bi))
+			pour = eq(b.nextbatch, num(bi))
 		}
 		if b.g.PourWindow > 0 {
-			pour = append(pour, fmt.Sprintf("castnext > %d", bi-b.g.PourWindow))
+			window := gt(b.castnext, num(bi-b.g.PourWindow))
+			if pour == nil {
+				pour = window
+			} else {
+				pour = and(pour, window)
+			}
 		}
-		if len(pour) > 0 {
-			e.Guard(strings.Join(pour, " && ")).
+		if pour != nil {
+			e.GuardExpr(pour).
 				Note("guide: pour in order, paced by casting progress")
 		}
 		e.Done()
@@ -89,25 +99,27 @@ func (b *builder) buildRecipe(bi int) {
 		last := k == len(stages)-1
 		for _, m := range st.Machines {
 			on := a.Edge(goLoc[k], onLoc[k]).
-				Guard(fmt.Sprintf("atm[%d] == %d", bi, m)).
-				Sync(fmt.Sprintf("mon_%d", bi), ta.Send).
+				GuardExpr(eq(b.atm[bi], num(m))). // atm[b] == m
+				Sync("mon_"+bs, ta.Send).
 				Reset(t)
 			if b.g.PourOrder && last {
 				// The paper delays the nextbatch update until the batch
-				// just ahead starts its final treatment.
-				on.Assign("nextbatch := nextbatch + 1").
+				// just ahead starts its final treatment:
+				// nextbatch := nextbatch + 1.
+				on.AssignExpr(incr(b.nextbatch)).
 					Note("guide: release the next batch")
 			}
 			on.Done()
 		}
 		off := a.Edge(onLoc[k], targetAfter(k, len(stages), goLoc, tocast)).
 			When(ta.EQ(t, st.Time)...).
-			Sync(fmt.Sprintf("moff_%d", bi), ta.Send)
+			Sync("moff_"+bs, ta.Send)
 		if b.guided {
 			if last {
-				off.Assign(fmt.Sprintf("next[%d] := cast", bi))
+				off.AssignExpr(set(b.next[bi], b.cast)) // next[b] := cast
 			} else {
-				off.Assign(fmt.Sprintf("next[%d] := %s", bi, stageChoiceExpr(stages[k+1], bi, b.g.Balance))).
+				// next[b] := (machine choice)
+				off.AssignExpr(set(b.next[bi], b.stageChoiceExpr(stages[k+1], bi, b.g.Balance))).
 					Note("guide: choose the next machine on the emptier track")
 			}
 		}
@@ -117,7 +129,7 @@ func (b *builder) buildRecipe(bi int) {
 	// The batch reports the start of its cast; the deadline clock stops
 	// mattering once casting has begun.
 	a.Edge(tocast, casted).
-		Sync(fmt.Sprintf("atcast_%d", bi), ta.Recv).
+		Sync("atcast_"+bs, ta.Recv).
 		Done()
 }
 

@@ -1,6 +1,6 @@
 package plant
 
-import "fmt"
+import "strconv"
 
 // The reconstructed SIDMAR topology (paper Figure 2). Two tracks of seven
 // slots each run from a converter-vessel load point (slot 0) past the
@@ -99,36 +99,35 @@ var liftablePoints = []int{PtEntry1, PtExit1, PtEntry2, PtExit2, PtBuffer, PtCas
 // caster output only receives ladles from the casting machine itself.
 var droppablePoints = []int{PtEntry1, PtExit1, PtEntry2, PtExit2, PtBuffer, PtHold, PtStore}
 
-// pointOccLValue returns the expression-language lvalue holding the
-// occupancy flag of an overhead point's landing position ("" for storage,
-// which is uncapped).
-func pointOccLValue(p int) string {
+// pointOcc returns the variable holding the occupancy flag of an
+// overhead point's landing position (nil for storage, which is uncapped).
+func (b *builder) pointOcc(p int) cell {
 	switch p {
 	case PtEntry1:
-		return "posi[0]"
+		return b.posi[SlotLoad]
 	case PtExit1:
-		return "posi[6]"
+		return b.posi[SlotExit]
 	case PtEntry2:
-		return "posii[0]"
+		return b.posii[SlotLoad]
 	case PtExit2:
-		return "posii[6]"
+		return b.posii[SlotExit]
 	case PtBuffer:
-		return "bufocc"
+		return b.bufocc
 	case PtHold:
-		return "holdocc"
+		return b.holdocc
 	case PtCastOut:
-		return "outocc"
+		return b.outocc
 	default:
-		return ""
+		return nil
 	}
 }
 
-// trackOccArray returns the occupancy array name of a track.
-func trackOccArray(track int) string {
+// trackOcc returns the occupancy array of a track (posi or posii).
+func (b *builder) trackOcc(track int) array {
 	if track == 1 {
-		return "posi"
+		return b.posi
 	}
-	return "posii"
+	return b.posii
 }
 
 // Layout renders the plant as ASCII art (the repository's Figure 2).
@@ -146,4 +145,4 @@ func Layout() string {
 }
 
 // qualityName formats a quality for messages.
-func qualityName(q Quality) string { return fmt.Sprintf("Q%d", int(q)) }
+func qualityName(q Quality) string { return "Q" + strconv.Itoa(int(q)) }

@@ -1,10 +1,12 @@
 package ta
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"guidedta/internal/dbm"
+	"guidedta/internal/expr"
 )
 
 // buildTwoProc builds a tiny two-automaton system with a channel sync,
@@ -379,5 +381,64 @@ func TestLUBoundsDetectsDiagonals(t *testing.T) {
 	// Conservative: the constant feeds both sides of both clocks.
 	if lower[x] != 5 || upper[x] != 5 || lower[y] != 5 || upper[y] != 5 {
 		t.Errorf("diagonal bounds: L=%v U=%v", lower, upper)
+	}
+}
+
+// TestTreeFormsMatchSource: GuardExpr and AssignExpr given the trees the
+// parser builds for a guard and an update list yield the same edge as
+// Guard and Assign given the source: equal structure, equal printed form.
+func TestTreeFormsMatchSource(t *testing.T) {
+	s := NewSystem("trees")
+	s.Table.DeclareVar("n", 0)
+	s.Table.DeclareArray("a", 3)
+	s.Table.DefineConst("k", 2)
+	p := s.AddAutomaton("P")
+	l0 := p.AddLocation("l0", Normal)
+	l1 := p.AddLocation("l1", Normal)
+	p.SetInit(l0)
+
+	n, _ := s.Table.LookupVar("n")
+	base, size, _ := s.Table.LookupArray("a")
+	at := func(i int32) expr.Index {
+		return expr.Index{Base: base, Size: size, Idx: expr.Const{Val: i}, Name: "a"}
+	}
+	k := expr.Const{Val: 2, Name: "k"}
+
+	src := p.Edge(l0, l1).
+		Guard("a[0] == 0 && n < k").
+		Guard("(n <= 3 ? 0-2 : 0) != n").
+		Assign("a[k] := n + 1, n := 0").
+		Assign("a[1] := (n == k ? 1 : 0)").
+		Done()
+	tree := p.Edge(l0, l1).
+		GuardExpr(expr.Binary{Op: expr.OpAnd,
+			L: expr.Binary{Op: expr.OpEq, L: at(0), R: expr.Const{Val: 0}},
+			R: expr.Binary{Op: expr.OpLt, L: n, R: k}}).
+		GuardExpr(expr.Binary{Op: expr.OpNe,
+			L: expr.Cond{
+				C: expr.Binary{Op: expr.OpLe, L: n, R: expr.Const{Val: 3}},
+				T: expr.Binary{Op: expr.OpSub, L: expr.Const{Val: 0}, R: expr.Const{Val: 2}},
+				F: expr.Const{Val: 0}},
+			R: n}).
+		AssignExpr(
+			expr.Assign{LHS: expr.Index{Base: base, Size: size, Idx: k, Name: "a"},
+				RHS: expr.Binary{Op: expr.OpAdd, L: n, R: expr.Const{Val: 1}}},
+			expr.Assign{LHS: n, RHS: expr.Const{Val: 0}}).
+		AssignExpr(expr.Assign{LHS: at(1), RHS: expr.Cond{
+			C: expr.Binary{Op: expr.OpEq, L: n, R: k}, T: expr.Const{Val: 1}, F: expr.Const{Val: 0}}}).
+		Done()
+
+	es, et := p.Edges[src], p.Edges[tree]
+	if !reflect.DeepEqual(es, et) {
+		t.Errorf("tree-built edge %+v differs from parsed edge %+v", et, es)
+	}
+	if g, want := s.FormatGuard(et), s.FormatGuard(es); g != want {
+		t.Errorf("guard prints %q, want %q", g, want)
+	}
+	if u, want := s.FormatUpdate(et), s.FormatUpdate(es); u != want {
+		t.Errorf("update prints %q, want %q", u, want)
+	}
+	if want := "a[k] := n + 1, n := 0, a[1] := (n == k ? 1 : 0)"; s.FormatUpdate(et) != want {
+		t.Errorf("update prints %q, want %q", s.FormatUpdate(et), want)
 	}
 }
