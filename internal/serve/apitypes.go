@@ -146,8 +146,23 @@ type JobJSON struct {
 	// and options, different model — for a re-synthesis after a
 	// disturbance. Empty for cold runs.
 	WarmStartedFrom string `json:"warm_started_from,omitempty"`
-	Error           string `json:"error,omitempty"`
+	// WarmFallback says why a warm start was discarded and the search
+	// rerun cold: WarmFallbackReplayFailed or WarmFallbackNegative.
+	// Empty when no warm attempt was rerun.
+	WarmFallback string `json:"warm_fallback,omitempty"`
+	Error        string `json:"error,omitempty"`
 }
+
+// Reasons a warm-started search is discarded and rerun cold (JobJSON's
+// WarmFallback).
+const (
+	// WarmFallbackReplayFailed: the warm search reached a goal whose
+	// witness does not replay on the new model (mc.ErrWarmStart).
+	WarmFallbackReplayFailed = "replay_failed"
+	// WarmFallbackNegative: a seed from another model ended negative or
+	// failed, which only a cold search may report.
+	WarmFallbackNegative = "negative"
+)
 
 // ScheduleJSON is the projected plant schedule of a plant job: the
 // paper's Table 2 content in machine-readable form.
@@ -255,8 +270,11 @@ type StatusJSON struct {
 	ExecutionsSkipped int64 `json:"executions_skipped,omitempty"`
 	// WarmStarts counts executions whose search was seeded from a kept
 	// checkpoint (Config.WarmStart).
-	WarmStarts int64       `json:"warm_starts,omitempty"`
-	Cache      CacheStatus `json:"cache"`
+	WarmStarts int64 `json:"warm_starts,omitempty"`
+	// WarmFallbacks counts warm attempts discarded and rerun cold (each
+	// such job's record names the reason in warm_fallback).
+	WarmFallbacks int64       `json:"warm_fallbacks,omitempty"`
+	Cache         CacheStatus `json:"cache"`
 	// Tenants is the fair queue's per-tenant backlog, in tenant creation
 	// order (present once any request has been admitted).
 	Tenants []TenantStatus `json:"tenants,omitempty"`

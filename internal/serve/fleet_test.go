@@ -461,34 +461,82 @@ func TestWarmDriftChainKeepsPaths(t *testing.T) {
 					i, d, st.WarmReplays, st.WarmSeeded, st.StatesExplored)
 			}
 		}
-		cfg, err := pr.resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		guided, err := plant.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, stored := keptTrace(t, filepath.Join(dir, jj.Key+".ckpt"), guided.Goal)
+		trace, stored := checkKeptUnguided(t, pr, filepath.Join(dir, jj.Key+".ckpt"))
 		if len(trace) != jj.Report.Result.TraceLen {
 			t.Fatalf("drift %d %v: kept witness has %d steps, the job reported %d", i, d, len(trace), jj.Report.Result.TraceLen)
 		}
 		if i > 0 && stored > len(trace)+1 {
 			t.Errorf("drift %d %v: kept snapshot holds %d states, want at most %d (its path)", i, d, stored, len(trace)+1)
 		}
-		cfg.Guides = plant.NoGuides
-		unguided, err := plant.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := plant.MapTrace(guided.Sys, unguided.Sys, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
-			t.Fatalf("drift %d %v: schedule fails the unguided replay: %v", i, d, err)
-		}
 	}
+}
+
+// checkKeptUnguided reads the witness a plant job kept in its final
+// snapshot and fails the test unless it replays, mapped onto the unguided
+// plant, under mc.CheckTrace. It returns the witness and the snapshot's
+// store size.
+func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) (trace []mc.Transition, stored int) {
+	t.Helper()
+	cfg, err := pr.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	guided, err := plant.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, stored = keptTrace(t, ckpt, guided.Goal)
+	cfg.Guides = plant.NoGuides
+	unguided, err := plant.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := plant.MapTrace(guided.Sys, unguided.Sys, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
+		t.Fatalf("%s: schedule fails the unguided replay: %v", filepath.Base(ckpt), err)
+	}
+	return trace, stored
+}
+
+// TestWarmFallbackReplayFailed: on one warm-start server, a treatment
+// drift seeded from a deadline-shifted run's snapshot reaches a goal whose
+// witness does not replay on the drifted plant. The server reruns it cold,
+// says so in the job record (warm_fallback "replay_failed") and in
+// /v1/status, and the cold schedule passes the unguided replay.
+func TestWarmFallbackReplayFailed(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
+	deadline, treatA, treatB := int32(56), int32(4), int32(4)
+	shift := &PlantRequest{Batches: 3, Params: &ParamsRequest{Deadline: &deadline}}
+	drift := &PlantRequest{Batches: 3, Params: &ParamsRequest{TreatA: &treatA, TreatB: &treatB}}
+	var jobs []JobJSON
+	for _, pr := range []*PlantRequest{shift, drift} {
+		body, err := json.Marshal(SubmitRequest{Plant: pr, Resynthesis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, jj := postJob(t, ts, string(body), true)
+		if code != http.StatusOK || jj.State != JobDone || jj.Schedule == nil {
+			t.Fatalf("plant %+v: status %d state %q (%s)", *pr.Params, code, jj.State, jj.Error)
+		}
+		jobs = append(jobs, jj)
+	}
+	if got := jobs[0].WarmFallback; got != "" {
+		t.Errorf("cold first job: warm_fallback = %q, want none", got)
+	}
+	if got := jobs[1].WarmFallback; got != WarmFallbackReplayFailed {
+		t.Errorf("drift: warm_fallback = %q, want %q", got, WarmFallbackReplayFailed)
+	}
+	if jobs[1].WarmStartedFrom != "" {
+		t.Errorf("drift reran cold but reports warm_started_from %q", jobs[1].WarmStartedFrom)
+	}
+	if got := srv.Status().WarmFallbacks; got != 1 {
+		t.Errorf("status warm_fallbacks = %d, want 1", got)
+	}
+	checkKeptUnguided(t, drift, filepath.Join(dir, jobs[1].Key+".ckpt"))
 }
 
 // TestWarmStartShapeMismatchReportsCold: a seed from the same warm family

@@ -314,7 +314,11 @@ type outcome struct {
 	// the seed took effect — its witness replayed or its states seeded the
 	// store (mc.Result.WarmStarted).
 	warmFrom string
-	err      error
+	// warmFallback says why a warm attempt was discarded and the search
+	// rerun cold (WarmFallbackReplayFailed, WarmFallbackNegative); "" when
+	// no warm attempt was rerun.
+	warmFallback string
+	err          error
 }
 
 func (o *outcome) describe() string {

@@ -174,11 +174,12 @@ type Server struct {
 
 	workers []workerState
 
-	draining atomic.Bool
-	started  atomic.Int64 // executions handed to ExploreContext/Synthesize
-	finished atomic.Int64 // executions completed (any outcome)
-	skipped  atomic.Int64 // canceled-while-queued executions settled unrun
-	warmHits atomic.Int64 // executions that actually warm-started
+	draining      atomic.Bool
+	started       atomic.Int64 // executions handed to ExploreContext/Synthesize
+	finished      atomic.Int64 // executions completed (any outcome)
+	skipped       atomic.Int64 // canceled-while-queued executions settled unrun
+	warmHits      atomic.Int64 // executions that actually warm-started
+	warmFallbacks atomic.Int64 // warm attempts discarded and rerun cold
 
 	gcMu      sync.Mutex    // serializes gcCheckpoints sweeps
 	ckptFiles atomic.Int64  // approximate checkpoint-file count (resynced by each sweep)
@@ -585,10 +586,11 @@ func (s *Server) execute(ex *execution) *outcome {
 		os.Remove(ckptPath)
 		return true
 	}
-	// retryCold decides whether a warm-started outcome must be re-derived
-	// cold: always when the engine flags a replay-invalid witness
-	// (mc.ErrWarmStart), and for any cross-model seed whose search ended
-	// negative or failed — a foreign model's state space may subsume zones
+	// coldReason decides whether a warm-started outcome must be re-derived
+	// cold, and says why ("" means keep it): always when the engine flags
+	// a replay-invalid witness (mc.ErrWarmStart, WarmFallbackReplayFailed),
+	// and for any cross-model seed whose search ended negative or failed
+	// (WarmFallbackNegative) — a foreign model's state space may subsume zones
 	// this model would have explored further, so only a cold run may
 	// report "not satisfied". The retry is gated on the seed actually
 	// having taken effect (res.WarmStarted: a replayed witness, which is
@@ -599,23 +601,26 @@ func (s *Server) execute(ex *execution) *outcome {
 	// key is exempt (the seeded zones are genuinely this model's), and
 	// canceled or limit-aborted searches are service outcomes either way.
 	// Warm starts change latency, never answers.
-	retryCold := func(err error, res mc.Result) bool {
+	coldReason := func(err error, res mc.Result) string {
 		if opts.WarmStart.Path == "" {
-			return false
+			return ""
 		}
 		if errors.Is(err, mc.ErrWarmStart) {
-			return true
+			return WarmFallbackReplayFailed
 		}
-		if warmFrom == ex.key || res.Abort != mc.AbortNone {
-			return false
+		if warmFrom == ex.key || res.Abort != mc.AbortNone || !res.WarmStarted {
+			return ""
 		}
-		if !res.WarmStarted {
-			return false
+		if err != nil || !res.Found {
+			return WarmFallbackNegative
 		}
-		return err != nil || !res.Found
+		return ""
 	}
-	goCold := func() {
-		s.logf("exec %s: warm start from %s not conclusive; rerunning cold", shortKey(ex.key), shortKey(warmFrom))
+	out := &outcome{report: run}
+	goCold := func(reason string) {
+		s.logf("exec %s: warm start from %s not conclusive (%s); rerunning cold", shortKey(ex.key), shortKey(warmFrom), reason)
+		out.warmFallback = reason
+		s.warmFallbacks.Add(1)
 		opts.WarmStart = mc.WarmStartOptions{}
 		// The warm attempt left its kept-final snapshot at ckptPath, which
 		// the engine refuses to resume from; the cold run starts fresh.
@@ -635,14 +640,13 @@ func (s *Server) execute(ex *execution) *outcome {
 		}
 	}
 
-	out := &outcome{report: run}
 	if ex.isPlant {
 		res, err := core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		if err != nil && retryFresh(err) {
 			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		}
-		if retryCold(err, engineRes) {
-			goCold()
+		if reason := coldReason(err, engineRes); reason != "" {
+			goCold(reason)
 			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		}
 		if err != nil {
@@ -670,8 +674,8 @@ func (s *Server) execute(ex *execution) *outcome {
 	if err != nil && retryFresh(err) {
 		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
 	}
-	if retryCold(err, res) {
-		goCold()
+	if reason := coldReason(err, res); reason != "" {
+		goCold(reason)
 		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
 	}
 	if err != nil {
