@@ -56,7 +56,7 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress per-job log lines")
 		ckptDir      = flag.String("checkpoint-dir", "", "make running jobs durable: write resumable search checkpoints (keyed by cache key) here on drain/timeout aborts, and resume them on resubmission — also after a restart")
 		ckptEvery    = flag.Duration("checkpoint-every", 0, "additionally checkpoint running jobs at this cadence (0 = abort-time only; requires -checkpoint-dir)")
-		warmStart    = flag.Bool("warm-start", false, "keep completed searches' final checkpoints and seed re-synthesis of nearby models from them (requires -checkpoint-dir)")
+		warmStart    = flag.Bool("warm-start", false, "keep the final checkpoints of searches that found their goal and replay their witnesses on nearby models, searching cold when none replays (requires -checkpoint-dir)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "per-tenant queued-job quota (0 = the -queue depth); tenancy from the X-Tenant header")
 		tenantWeight = flag.String("tenant-weights", "", "weighted-fair shares as tenant=weight,... (absent tenants weigh 1)")
 		ckptGCAge    = flag.Duration("checkpoint-gc-age", 24*time.Hour, "delete checkpoint files older than this")

@@ -90,13 +90,9 @@ type ReportStats struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 	StatesPerSec    float64 `json:"states_per_sec"`
 	BytesPerState   float64 `json:"bytes_per_state"`
-	// The warm-start counters (mc.Stats.Warm*), absent on cold runs.
-	WarmReplays        int `json:"warm_replays,omitempty"`
-	WarmSeeded         int `json:"warm_seeded,omitempty"`
-	WarmDropped        int `json:"warm_dropped,omitempty"`
-	WarmDroppedShape   int `json:"warm_dropped_shape,omitempty"`
-	WarmDroppedChain   int `json:"warm_dropped_chain,omitempty"`
-	WarmDroppedEmptied int `json:"warm_dropped_emptied,omitempty"`
+	// The warm-start counter (mc.Stats.WarmReplays), absent when the run
+	// replayed no seed candidate.
+	WarmReplays int `json:"warm_replays,omitempty"`
 }
 
 // NewReport starts a report for one tool invocation, capturing the command
@@ -209,13 +205,7 @@ func (rr *RunReport) SetResult(res mc.Result) {
 		MemBytes:        st.MemBytes,
 		DurationSeconds: st.Duration.Seconds(),
 		BytesPerState:   st.BytesPerStoredState(),
-
-		WarmReplays:        st.WarmReplays,
-		WarmSeeded:         st.WarmSeeded,
-		WarmDropped:        st.WarmDropped,
-		WarmDroppedShape:   st.WarmDroppedShape,
-		WarmDroppedChain:   st.WarmDroppedChain,
-		WarmDroppedEmptied: st.WarmDroppedEmptied,
+		WarmReplays:     st.WarmReplays,
 	}
 	if st.Duration > 0 {
 		rr.Stats.StatesPerSec = float64(st.StatesExplored) / st.Duration.Seconds()

@@ -272,15 +272,18 @@ func TestPlantSweepSmall(t *testing.T) {
 	}
 }
 
-// TestWarmResynthesis: the 2-batch all-guides plant is synthesized once
-// with its final checkpoint kept, and each disturbance is then
-// re-synthesized cold and warm-started from that seed. Every warm run must
-// find a schedule that replays on the unguided model of the disturbed
-// plant, and the Section 6 wear must be solved from the seed with at most
-// half the cold run's explored states.
+// TestWarmResynthesis: the 2- and 3-batch all-guides plants are
+// synthesized once with their final checkpoints kept, and each
+// disturbance is then re-synthesized cold and warm-started from the seed
+// of its batch count. Every warm run must find a schedule that replays on
+// the unguided model of the disturbed plant. The 2-batch drifts replay
+// the seed's witness, and the Section 6 wear must be solved from the seed
+// with at most half the cold run's explored states. No witness of the
+// 3-batch seed replays under the 3-batch drifts, so those warm runs are
+// cold searches and must explore exactly the cold runs' states.
 func TestWarmResynthesis(t *testing.T) {
-	build := func(p plant.Params, g plant.GuideLevel) *plant.Plant {
-		pl, err := plant.Build(plant.Config{Qualities: plant.CycleQualities(2), Guides: g, Params: p})
+	build := func(batches int, p plant.Params, g plant.GuideLevel) *plant.Plant {
+		pl, err := plant.Build(plant.Config{Qualities: plant.CycleQualities(batches), Guides: g, Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,39 +294,54 @@ func TestWarmResynthesis(t *testing.T) {
 		opts.Observer = &mc.FuncObserver{Priority: p.Priority}
 		return opts
 	}
-	seed := filepath.Join(t.TempDir(), "base.ckpt")
-	base := build(plant.DefaultParams(), plant.AllGuides)
-	opts := options(base)
-	opts.Checkpoint = mc.CheckpointOptions{Path: seed, KeepFinal: true}
-	if res, err := mc.Explore(base.Sys, base.Goal, opts); err != nil || !res.Found {
-		t.Fatalf("base synthesis: found=%v err=%v", res.Found, err)
+	seeds := map[int]string{}
+	for _, batches := range []int{2, 3} {
+		seeds[batches] = filepath.Join(t.TempDir(), "base.ckpt")
+		base := build(batches, plant.DefaultParams(), plant.AllGuides)
+		opts := options(base)
+		opts.Checkpoint = mc.CheckpointOptions{Path: seeds[batches], KeepFinal: true}
+		if res, err := mc.Explore(base.Sys, base.Goal, opts); err != nil || !res.Found {
+			t.Fatalf("%d-batch base synthesis: found=%v err=%v", batches, res.Found, err)
+		}
 	}
 
-	deadline, treatB := plant.DefaultParams(), plant.DefaultParams()
+	deadline, treatB, crane, treat := plant.DefaultParams(), plant.DefaultParams(), plant.DefaultParams(), plant.DefaultParams()
 	deadline.Deadline -= 10
 	treatB.TreatB += 3
+	crane.CMove += 1
+	treat.TreatA += 5
+	treat.TreatB += 5
 	for _, c := range []struct {
-		name   string
-		params plant.Params
-		halves bool // warm explored <= cold explored / 2
+		name    string
+		batches int
+		params  plant.Params
+		halves  bool // warm explored <= cold explored / 2
+		replays bool // a seed witness replays; otherwise warm is cold
+		long    bool // about 100k states per search: skipped in short mode
 	}{
-		{"wear", wornParams(), true},
-		{"deadline-10", deadline, false},
-		{"treatB+3", treatB, false},
+		{"wear", 2, wornParams(), true, true, false},
+		{"deadline-10", 2, deadline, false, true, false},
+		{"treatB+3", 2, treatB, false, true, false},
+		{"3-batch-wear", 3, wornParams(), false, false, true},
+		{"3-batch-crane+1", 3, crane, false, false, false},
+		{"3-batch-treat+5", 3, treat, false, false, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			p := build(c.params, plant.AllGuides)
+			if c.long && testing.Short() {
+				t.Skip("two searches of about 100k states each")
+			}
+			p := build(c.batches, c.params, plant.AllGuides)
 			cold, err := mc.Explore(p.Sys, p.Goal, options(p))
 			if err != nil || !cold.Found {
 				t.Fatalf("cold: found=%v err=%v", cold.Found, err)
 			}
 			wopts := options(p)
-			wopts.WarmStart = mc.WarmStartOptions{Path: seed}
+			wopts.WarmStart = mc.WarmStartOptions{Path: seeds[c.batches]}
 			warm, err := mc.Explore(p.Sys, p.Goal, wopts)
-			if err != nil || !warm.WarmStarted || !warm.Found {
-				t.Fatalf("warm: started=%v found=%v err=%v", warm.WarmStarted, warm.Found, err)
+			if err != nil || warm.WarmStarted != c.replays || !warm.Found {
+				t.Fatalf("warm: started=%v found=%v err=%v; want started=%v", warm.WarmStarted, warm.Found, err, c.replays)
 			}
-			unguided := build(c.params, plant.NoGuides)
+			unguided := build(c.batches, c.params, plant.NoGuides)
 			mapped, err := plant.MapTrace(p.Sys, unguided.Sys, warm.Trace)
 			if err != nil {
 				t.Fatal(err)
@@ -334,6 +352,10 @@ func TestWarmResynthesis(t *testing.T) {
 			if c.halves && warm.Stats.StatesExplored > cold.Stats.StatesExplored/2 {
 				t.Errorf("warm explored %d states, cold %d: less than a 2x saving",
 					warm.Stats.StatesExplored, cold.Stats.StatesExplored)
+			}
+			if !c.replays && (warm.Stats.WarmReplays == 0 || warm.Stats.StatesExplored != cold.Stats.StatesExplored) {
+				t.Errorf("warm replayed %d candidates and explored %d states, cold %d; want a replay attempt, then the cold search",
+					warm.Stats.WarmReplays, warm.Stats.StatesExplored, cold.Stats.StatesExplored)
 			}
 		})
 	}

@@ -10,10 +10,10 @@ import (
 	"guidedta/internal/ta"
 )
 
-// liveSearch runs a sequential search the way explore's prologue does
-// when no instant witness replays — a warm seed's seeded frontier first
-// when one is configured, then the initial state — and returns the loop
-// still holding its store and frontier.
+// liveSearch runs a sequential search the way explore's prologue starts
+// one — resumed from opts.Checkpoint when it asks for a resume, otherwise
+// from the initial state — and returns the loop still holding its store
+// and frontier.
 func liveSearch(t *testing.T, sys *ta.System, goal Goal, opts Options) *seqSearch {
 	t.Helper()
 	opts, err := opts.normalize()
@@ -26,23 +26,22 @@ func liveSearch(t *testing.T, sys *ta.System, goal Goal, opts Options) *seqSearc
 	}
 	q := newSeqSearch(en, goal)
 	c := q.w0.c
-	if opts.WarmStart.enabled() {
-		ws := loadWarmSeed(en)
-		if ws == nil {
-			t.Fatal("warm seed did not load")
+	if opts.Checkpoint.Resume {
+		ck, err := newCheckpointer(&en.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w := &warmState{}
-		ws.seed(c, q.store, w)
-		if len(w.seeded) == 0 {
-			t.Fatal("warm seed seeded nothing")
+		rs, err := ck.resume(q.store)
+		if err != nil || rs == nil {
+			t.Fatalf("resume: %v (resumed state %v)", err, rs)
 		}
-		q.queue(w.frontier)
-	}
-	init, err := c.initial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.offer(q.store, c.stateKey(init), init) {
+		q.restore(rs)
+	} else {
+		init, err := c.initial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.offer(q.store, c.stateKey(init), init)
 		q.queue([]*node{init})
 	}
 	if _, _, err := q.run(); err != nil {
@@ -64,19 +63,10 @@ func timedFischer(t *testing.T, n int) (*ta.System, Goal, Options) {
 // TestCaptureStateMatchesReference holds the two-pass captureState to the
 // append-as-you-go reference on live searches: both stores, every
 // sequential order, a found goal with a live frontier, a state-limit
-// abort, an exhaustive search, and the end state of a run warm-started
-// from a kept-final snapshot of a nearby model, whose seeded nodes carry
-// discrete parts carved from the decoder's shared arrays.
+// abort, an exhaustive search, and the end state of a search resumed from
+// a state-limit checkpoint, whose restored nodes carry discrete parts
+// carved from the decoder's shared arrays.
 func TestCaptureStateMatchesReference(t *testing.T) {
-	seed := filepath.Join(t.TempDir(), "seed.ckpt")
-	{
-		sys, goal := fischerN(t, 4, true)
-		opts := DefaultOptions(BFS)
-		opts.Checkpoint = CheckpointOptions{Path: seed, KeepFinal: true}
-		if _, err := Explore(sys, goal, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
 	type tc struct {
 		name string
 		sys  *ta.System
@@ -102,10 +92,18 @@ func TestCaptureStateMatchesReference(t *testing.T) {
 		add("bfs-state-limit", sys, goal, opts)
 		sys, goal = fischerN(t, 3, true)
 		add("bfs-exhaustive", sys, goal, DefaultOptions(BFS))
-		sys, goal = fischerN(t, 4, false)
+		sys, goal = fischerN(t, 4, true)
 		opts = DefaultOptions(BFS)
-		opts.WarmStart = WarmStartOptions{Path: seed}
-		add("bfs-warm-final", sys, goal, opts)
+		opts.Compact = compact // the checkpoint's options must match the resume's
+		opts.MaxStates = 60
+		opts.Checkpoint = CheckpointOptions{Path: filepath.Join(t.TempDir(), "limit.ckpt")}
+		if res, err := Explore(sys, goal, opts); err != nil || res.Abort != AbortStates {
+			t.Fatalf("state-limit run: abort %q, err %v", res.Abort, err)
+		}
+		sys, goal = fischerN(t, 4, true)
+		opts.MaxStates = 0
+		opts.Checkpoint.Resume = true
+		add("bfs-resumed", sys, goal, opts)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -46,13 +46,15 @@ type CheckpointOptions struct {
 	// knows the model's source form. Empty disables the check. It is not
 	// part of the canonical options JSON.
 	ModelSHA string
-	// KeepFinal writes (and keeps) a final snapshot when the search
-	// completes with an answer, instead of removing the file. The artifact
-	// is a warm-start seed for nearly-identical later queries
-	// (Options.WarmStart), not a resume point: it is stamped Final and the
-	// resume path refuses it — a completed search's frontier would resume to
-	// a wrong verdict (the found state's zone already subsumes frontier
-	// descendants that re-reach it, so the goal check could never fire).
+	// KeepFinal writes (and keeps) a final snapshot when the search finds
+	// its goal, instead of removing the file; a run that completes without
+	// finding it removes the file as usual, since its snapshot holds no
+	// goal state to replay. The artifact is a warm-start seed for
+	// nearly-identical later queries (Options.WarmStart), not a resume
+	// point: it is stamped Final and the resume path refuses it — a
+	// completed search's frontier would resume to a wrong verdict (the
+	// found state's zone already subsumes frontier descendants that
+	// re-reach it, so the goal check could never fire).
 	KeepFinal bool
 	// Meta is an opaque advisory label stamped into the checkpoint header
 	// (snapshot.Header.Meta). The serving layer records the cache-key kind
@@ -403,7 +405,7 @@ func seedFromCheckpoint(cp *snapshot.Checkpoint, store stateStore, compact bool)
 // treeOf rebuilds a checkpoint's search tree: one node per saved node,
 // with its depth, transition and parent link, but no state. The nodes are
 // carved from one array. Decode has checked every index; a warm start also
-// screens the chains' shape.
+// screens its replay candidates' chains.
 func treeOf(cp *snapshot.Checkpoint) []*node {
 	slab := make([]node, len(cp.Nodes))
 	nodes := make([]*node, len(cp.Nodes))

@@ -110,7 +110,7 @@ type searchLoop interface {
 	// checkpoint's cumulative counters.
 	restore(rs *resumedState)
 	// queue pushes fresh nodes, still holding their matrices: a warm
-	// seed's frontier, then the initial state.
+	// start's replayed path, or the initial state.
 	queue(ns []*node)
 	// run searches until the frontier is exhausted, a goal is found, or a
 	// limit trips.
@@ -125,10 +125,10 @@ type searchLoop interface {
 }
 
 // explore runs one search: the prologue (store, checkpointer, resume, warm
-// seed, initial offer) and the epilogue (store stats, warm-prefix replay,
-// trace, final checkpoint) are common to both orders of work; the loop
-// in between is the sequential one or, with Workers > 1 — normalize has
-// already kept BSH and BestTime at one — the parallel one.
+// replay, initial offer) and the epilogue (store stats, trace, final
+// checkpoint) are common to both orders of work; the loop in between is
+// the sequential one or, with Workers > 1 — normalize has already kept
+// BSH and BestTime at one — the parallel one.
 func (en *engine) explore(goal Goal) (res Result, err error) {
 	var d searchLoop
 	if en.opts.Workers > 1 {
@@ -169,7 +169,7 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 		defer s.ck.stopTicker()
 	}
 	var found *node
-	var warm *warmState
+	var replays int
 	if rs != nil {
 		// Continue where the checkpoint left off: the store is seeded in
 		// its exact saved order, the frontier restored in pop order, and
@@ -179,38 +179,24 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 		res.Resumed = true
 		d.restore(rs)
 	} else {
-		if en.opts.WarmStart.enabled() {
+		if en.opts.WarmStart.enabled() && !goal.Deadlock {
 			// Warm start: replay the seed's goal states on this model,
 			// rooted at init, and keep just the path of the first that
-			// replays; only when none does, seed the store from the seed
-			// (every state re-validated — see WarmStartOptions) and queue
-			// its surviving frontier.
+			// replays. When none does, the run goes on as a cold one.
 			if ws := loadWarmSeed(en); ws != nil {
-				warm = &warmState{}
-				if found = ws.replay(c, init, goal, warm); found != nil {
-					res.WarmStarted = true
-					d.queue(c.keepPath(s.store, found))
-				} else {
-					ws.seed(c, s.store, warm)
-					res.WarmStarted = len(warm.seeded) > 0
-					d.queue(warm.frontier)
-				}
+				found, replays = ws.replay(c, init, goal)
 			}
 		}
-		if found == nil {
-			if c.offer(s.store, c.stateKey(init), init) {
-				// Borrow the kernel's successor buffer, which the first
-				// expansion would allocate anyway: the loops copy what they
-				// queue.
-				w.succ = append(w.succ[:0], init)
-				d.queue(w.succ)
-			} else {
-				// Only possible under a warm start: a seeded state already
-				// subsumes the initial state, so its (old-model) expansion
-				// stands in for init's — the pruning the warm start exists
-				// for, and the reason warm negatives are advisory.
-				c.recycleNode(init)
-			}
+		if found != nil {
+			res.WarmStarted = true
+			d.queue(c.keepPath(s.store, found))
+		} else {
+			// The store is empty, so it keeps init. Borrow the kernel's
+			// successor buffer, which the first expansion would allocate
+			// anyway: the loops copy what they queue.
+			c.offer(s.store, c.stateKey(init), init)
+			w.succ = append(w.succ[:0], init)
+			d.queue(w.succ)
 		}
 	}
 	if found == nil {
@@ -230,50 +216,29 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 		st.AvgZoneConstraints = float64(ss.constraints) / float64(ss.count)
 	}
 	st.Duration = time.Since(s.start)
-	if warm != nil {
-		st.WarmSeeded = len(warm.seeded)
-		st.WarmReplays = warm.replays
-		st.WarmDroppedShape = warm.droppedShape
-		st.WarmDroppedChain = warm.droppedChain
-		st.WarmDroppedEmptied = warm.droppedEmptied
-		st.WarmDropped = warm.droppedShape + warm.droppedChain + warm.droppedEmptied
-		if found != nil && !warm.isFresh(found) {
-			// The witness runs through a seeded (foreign-model) prefix: its
-			// ancestors' zones were inherited, not derived on this model, so
-			// the trace must be re-derived by replay before it can be
-			// reported. A replay failure means the seed lied about
-			// reachability — surface it as ErrWarmStart so callers can rerun
-			// cold.
-			root, err := c.initial()
-			if err != nil {
-				return res, err
-			}
-			rep := c.replayTrace(root, traceOf(found), goal)
-			if rep == nil {
-				return res, fmt.Errorf("%w (seeded prefix of length %d)", ErrWarmStart, found.depth)
-			}
-			found = rep
-		}
-	}
+	st.WarmReplays = replays
 	if found != nil {
 		res.Found = true
 		res.Trace = traceOf(found)
 	}
 	if ck := s.ck; ck != nil {
-		if res.Abort != AbortNone || en.opts.Checkpoint.KeepFinal {
+		// Only a found goal is worth keeping: a negative run's snapshot
+		// holds no goal state a later warm start could replay.
+		keep := en.opts.Checkpoint.KeepFinal && found != nil
+		if res.Abort != AbortNone || keep {
 			// Abort-time durability: timeouts, cancellations (a serve
 			// drain), and state/memory cutoffs leave a resumable file. A
-			// completed search with KeepFinal instead stamps its snapshot
-			// Final: useless for resume (load refuses Final files) but
-			// exactly what a later warm start of a nearby model wants to
-			// seed from.
+			// search that found its goal with KeepFinal instead stamps its
+			// snapshot Final: useless for resume (load refuses Final
+			// files) but exactly what a later warm start of a nearby model
+			// wants to replay from.
 			ck.final = res.Abort == AbortNone
 			if err := d.save(); err != nil {
 				return res, err
 			}
 		}
 		ck.stamp(st)
-		if res.Abort == AbortNone && !en.opts.Checkpoint.KeepFinal {
+		if res.Abort == AbortNone && !keep {
 			// The search has its answer; a stale checkpoint must not seed a
 			// later run.
 			ck.finish()

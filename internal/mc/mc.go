@@ -144,14 +144,13 @@ type Options struct {
 	// checkpointing. Like Observer/Profile/SnapshotEvery it is a
 	// process-local concern and excluded from the canonical options JSON.
 	Checkpoint CheckpointOptions
-	// WarmStart starts the search from a prior run's checkpoint for a
-	// *different* (nearly identical) model: the seed's goal states are
-	// first replayed on the current model as instant witnesses; only when
-	// none replays is the search seeded, every seeded state re-validated
-	// against the current model, and any witness whose path crosses
-	// seeded states replayed transition by transition before it is
-	// reported (see WarmStartOptions). Like Checkpoint it is a
-	// process-local concern and excluded from the canonical options JSON.
+	// WarmStart answers the search, when it can, from a prior run's
+	// checkpoint for a *different* (nearly identical) model: the seed's
+	// goal states are replayed on the current model from its initial
+	// state, and the first that replays is the witness. When none does,
+	// the run is a cold search (see WarmStartOptions). Like Checkpoint it
+	// is a process-local concern and excluded from the canonical options
+	// JSON.
 	WarmStart WarmStartOptions
 }
 
@@ -235,21 +234,9 @@ type Stats struct {
 	CheckpointWrites int
 	CheckpointTime   time.Duration
 	ResumeTime       time.Duration
-	// WarmSeeded counts prior-run states accepted into this search's passed
-	// store by a warm start's seeding step. It is 0 when an instant witness
-	// replayed, because such a run seeds nothing. WarmReplays counts the
-	// seed's goal states replayed as instant witness candidates.
-	// WarmDropped counts the states the seeding step's re-validation
-	// rejected, the sum of WarmDroppedShape (discrete state or zone not of
-	// this model's shape), WarmDroppedChain (broken ancestor chain) and
-	// WarmDroppedEmptied (zone emptied by the new invariants).
-	// Options.WarmStart only; zero otherwise.
-	WarmSeeded         int
-	WarmReplays        int
-	WarmDropped        int
-	WarmDroppedShape   int
-	WarmDroppedChain   int
-	WarmDroppedEmptied int
+	// WarmReplays counts the seed's goal states replayed as witness
+	// candidates (Options.WarmStart only; zero otherwise).
+	WarmReplays int
 }
 
 // BytesPerStoredState is StoreBytes averaged over the stored states — the
@@ -281,15 +268,10 @@ type Result struct {
 	// than started from the initial state. Stats are cumulative across the
 	// resumed segments.
 	Resumed bool
-	// WarmStarted reports that the search used another model's
-	// checkpoint: Options.WarmStart named a loadable snapshot and either
-	// one of its goal states replayed on this model as the witness, or at
-	// least one of its states survived re-validation into the store
-	// (Stats.WarmSeeded > 0). A positive verdict is replay-validated and
-	// as trustworthy as a cold one; a negative verdict is advisory —
-	// seeded states can subsume states the new model would otherwise have
-	// explored — and callers that must trust "not found" should rerun
-	// cold.
+	// WarmStarted reports that the search was answered by a replayed
+	// warm-start witness: one of the Options.WarmStart seed's goal states
+	// replayed on this model from its initial state. It is never set on a
+	// negative — a warm start that replays nothing is a cold search.
 	WarmStarted bool
 }
 

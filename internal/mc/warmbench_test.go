@@ -11,11 +11,12 @@ import (
 // BenchmarkWarmKeepFinal is re-synthesis of a plant whose treatment times
 // drifted: a DFS search of the 3-batch all-guides plant, warm-started
 // from a kept-final checkpoint, keeping its own final checkpoint. It
-// covers the whole round trip — Load, replay or seeding, search, capture
-// and Write. "step" seeds every iteration from the nominal plant's
-// snapshot; "chain" seeds each iteration from the previous iteration's
-// own kept snapshot, as a warm-start server seeds from its newest, with
-// the plant alternating between two drifts.
+// covers the whole round trip — Load, witness replay, capture and Write;
+// a drift whose seed witness stopped replaying would search cold, and the
+// benchmark fails on it. "step" warm-starts every iteration from the
+// nominal plant's snapshot; "chain" warm-starts each iteration from the
+// previous iteration's own kept snapshot, as a warm-start server does
+// from its newest, with the plant alternating between two drifts.
 func BenchmarkWarmKeepFinal(b *testing.B) {
 	build := func(b *testing.B, treatA, treatB int32) *plant.Plant {
 		pm := plant.DefaultParams()

@@ -1,63 +1,39 @@
 package mc
 
 import (
-	"errors"
-
-	"guidedta/internal/dbm"
 	"guidedta/internal/snapshot"
 )
 
-// WarmStartOptions configures warm-start exploration (Options.WarmStart):
-// seeding a search from the checkpoint of a prior run of a *different*,
+// WarmStartOptions configures a warm start (Options.WarmStart): answering
+// a query by replaying the witness of a prior run of a *different*,
 // nearly identical model — a re-synthesis after plant wear, a deadline
 // shift, a unit loss. Where exact resume (CheckpointOptions.Resume)
 // enforces model/options identity and reproduces the interrupted run
-// bit-identically, a warm start deliberately crosses the identity line and
-// compensates with per-state re-validation.
+// bit-identically, a warm start deliberately crosses the identity line
+// and takes nothing from the seed but paths to try.
 //
-// A warm start loads the seed once and works in two steps:
+// A warm start loads the seed once and replays its goal states, in its
+// store order, as witness candidates: up to warmReplayCap of them that
+// pass the two structural screens below are replayed transition by
+// transition from this model's initial state (Stats.WarmReplays). The
+// first that replays is the answer. The run's store and frontier then
+// hold just the replayed path, none of it expanded, so a kept-final
+// snapshot of such a run (CheckpointOptions.KeepFinal) holds at most the
+// trace length plus one states, all of this model.
 //
-//   - Replay. The seed's goal states, in its store order, are instant
-//     witness candidates: up to warmReplayCap of them that pass the
-//     structural screens below are replayed transition by transition
-//     from this model's initial state (Stats.WarmReplays). The first that
-//     replays is the answer. The run then seeds nothing: its store and
-//     frontier hold just the replayed path, none of it expanded, so a
-//     kept-final snapshot of such a run (CheckpointOptions.KeepFinal)
-//     holds at most the trace length plus one states, all of this model.
-//     Deadlock goals have no instant candidates.
-//   - Seed, only when no candidate replays. Every seeded state is
-//     structurally checked against the current model (automata count,
-//     location indices, integer-store width, zone dimension, ancestor
-//     chain) and its zone is re-constrained by the current invariants;
-//     states that no longer fit are dropped (Stats.WarmDropped, split by
-//     reason). Seeded states enter the passed store through the ordinary
-//     subsuming add path, never the exact-resume seed path, so the
-//     antichain invariant holds by construction, and the seed's surviving
-//     frontier is queued before the initial state.
-//
-// A witness whose path crosses seeded states is replayed from this
-// model's initial state before it is reported; a deadlock witness
-// additionally has its successor-freeness recomputed on the replayed
-// (this-model) zone, which can be strictly larger than the seeded zone it
-// was found through. A seeded path that does not replay is never
-// returned: a failed instant candidate is skipped, and a search-found
-// witness with an invalid seeded prefix fails the run with ErrWarmStart
-// so the caller can fall back to a cold search.
-//
-// The one claim a warm start weakens is the negative one: a seeded state
-// can subsume (and thereby prune) a state the current model would have
-// explored to a goal, so Found == false under WarmStarted is advisory
-// (Result.WarmStarted documents this). Callers that must trust a negative
-// rerun cold — the serving layer does exactly that.
+// When no candidate replays — and when the seed file is missing,
+// unreadable or of another network's shape, or the goal is a deadlock,
+// which has no candidates — the same run goes on exactly as a cold search
+// from the initial state: same verdict, explored and stored counts, and
+// trace. Nothing of the seed enters the store, so the soundness argument
+// is one sentence: every witness a warm start reports was replayed from
+// this model's initial state.
 //
 // Like Checkpoint, WarmStart is a process-local concern excluded from the
-// canonical options JSON. Seeding and replay validation belong to the run
-// prologue and epilogue both search loops share, so a warm start runs
-// sequentially or in parallel like a cold one; the BSH order is rejected
-// because its bit table stores only hashes. A missing or
-// unreadable seed file degrades to a cold search rather than an error —
-// warm starting is opportunistic.
+// canonical options JSON. The replay belongs to the run prologue both
+// search loops share, so a warm start runs sequentially or in parallel
+// like a cold one; the BSH order is rejected because its bit table
+// stores only hashes.
 type WarmStartOptions struct {
 	// Path is the seed checkpoint, typically another model's completed
 	// search kept with CheckpointOptions.KeepFinal.
@@ -66,43 +42,14 @@ type WarmStartOptions struct {
 
 func (w WarmStartOptions) enabled() bool { return w.Path != "" }
 
-// ErrWarmStart wraps the one warm-start failure that cannot degrade
-// silently: the search found a goal through warm-seeded states but the
-// witness path does not replay on this model. Returning it (instead of a
-// possibly false positive) lets the caller rerun cold.
-var ErrWarmStart = errors.New("mc: warm-started witness failed replay validation")
-
-// warmReplayCap bounds how many seeded goal candidates the search replays
-// before falling back to seeding: each replay costs one trace-length walk
+// warmReplayCap bounds how many of the seed's goal candidates a warm start
+// replays before it searches cold: each replay costs one trace-length walk
 // of fire(), and a seed store can hold many goal states that all fail the
 // same way on the new model.
 const warmReplayCap = 8
 
-// warmState is what a warm start did: the accepted nodes (for witness
-// tainting), the frontier nodes to push, and the counters Stats reports.
-type warmState struct {
-	seeded   map[*node]struct{}
-	frontier []*node
-	replays  int
-	// Drops by reason: a state that does not fit this model's shape, one
-	// whose ancestor chain is broken, one the new invariants empty.
-	droppedShape, droppedChain, droppedEmptied int
-}
-
-// isFresh reports whether n's ancestor chain avoids every warm-seeded
-// state; such a witness was computed entirely on this model and needs no
-// replay validation.
-func (w *warmState) isFresh(n *node) bool {
-	for c := n; c != nil; c = c.parent {
-		if _, ok := w.seeded[c]; ok {
-			return false
-		}
-	}
-	return true
-}
-
 // warmSeed is a loaded seed checkpoint with its search tree rebuilt and
-// the two structural screens the replay and the seeding steps share.
+// the two structural screens a goal candidate must pass before replay.
 type warmSeed struct {
 	cp    *snapshot.Checkpoint
 	nodes []*node
@@ -144,9 +91,10 @@ func loadWarmSeed(en *engine) *warmSeed {
 }
 
 // chainOK is screen 2 — ancestor-chain consistency: traceOf indexes by
-// depth down the parent chain, so a seeded state is only usable if every
-// ancestor link satisfies depth == parent.depth+1 back to a depth-0 root
-// (and the chain is acyclic — Decode checks indices, not graph shape).
+// depth down the parent chain, so a goal candidate is only replayable if
+// every ancestor link satisfies depth == parent.depth+1 back to a depth-0
+// root (and the chain is acyclic — Decode checks indices, not graph
+// shape).
 // Memoized upward walk, cycle-guarded by the chain-length bound.
 func (ws *warmSeed) chainOK(i int32) bool {
 	nodes, chain := ws.cp.Nodes, ws.chain
@@ -182,122 +130,25 @@ func (ws *warmSeed) chainOK(i int32) bool {
 	return chain[i] == 1
 }
 
-// replay is the first step: it walks the seed's store order and replays,
-// from root (this run's initial node, left untouched), up to
-// warmReplayCap screened goal candidates. It returns the first replayed
-// witness node, or nil.
-func (ws *warmSeed) replay(c *engineCtx, root *node, goal Goal, w *warmState) *node {
-	if goal.Deadlock {
-		return nil
-	}
+// replay walks the seed's store order and replays, from root (this run's
+// initial node, left untouched), up to warmReplayCap screened goal
+// candidates. It returns the first replayed witness node, or nil, and the
+// number of candidates it replayed.
+func (ws *warmSeed) replay(c *engineCtx, root *node, goal Goal) (found *node, replays int) {
 	for _, ix := range ws.cp.Store {
-		if w.replays == warmReplayCap {
+		if replays == warmReplayCap {
 			break
 		}
 		sn := &ws.cp.Nodes[ix]
 		if !ws.shapeOK[ix] || !goal.Satisfied(sn.Locs, sn.Env) || !ws.chainOK(ix) {
 			continue
 		}
-		w.replays++
+		replays++
 		if found := c.replayTrace(root, traceOf(ws.nodes[ix]), goal); found != nil {
-			return found
+			return found, replays
 		}
 	}
-	return nil
-}
-
-// seed is the second step, run when no candidate replays: it feeds the
-// seed's store through the re-validation pipeline into this search's
-// store and collects the surviving frontier in the seed's order.
-func (ws *warmSeed) seed(c *engineCtx, store stateStore, w *warmState) {
-	en, cp, nodes := c.en, ws.cp, ws.nodes
-	frontSet := make(map[int32]bool, len(cp.Frontier))
-	for _, fe := range cp.Frontier {
-		frontSet[fe.Node] = true
-	}
-
-	w.seeded = make(map[*node]struct{})
-	for _, ix := range cp.Store {
-		sn := &cp.Nodes[ix]
-		if !ws.shapeOK[ix] {
-			w.droppedShape++
-			continue
-		}
-		if !ws.chainOK(ix) {
-			w.droppedChain++
-			continue
-		}
-		// Rebuild the zone as a full DBM regardless of its stored form —
-		// the subsuming add path needs matrices, and the seed's store kind
-		// (its options) need not match this run's.
-		var z *dbm.DBM
-		switch {
-		case sn.Zone.Kind == snapshot.ZoneFull && sn.Zone.Dim == en.nClocks:
-			var err error
-			if z, err = dbm.FromBounds(sn.Zone.Dim, sn.Zone.Bounds); err != nil {
-				w.droppedShape++
-				continue
-			}
-		case sn.Zone.Kind == snapshot.ZoneCompact && sn.Zone.Dim == en.nClocks:
-			cz, err := dbm.NewCompact(sn.Zone.Dim, sn.Zone.Cons)
-			if err != nil {
-				w.droppedShape++
-				continue
-			}
-			z = c.inflateZone(cz)
-		default:
-			w.droppedShape++
-			continue
-		}
-		n := nodes[ix]
-		if _, dup := w.seeded[n]; dup { // duplicate store index in the file
-			c.freeZone(z)
-			continue
-		}
-		n.locs, n.env = sn.Locs, sn.Env
-		// Re-validate against THIS model: constrain by the current
-		// invariants and drop the state if they empty it. The zone is
-		// already delay-closed (it was a live search zone) and is not
-		// re-extrapolated — both operations could only enlarge it, and
-		// shrinking is the safe direction for a state that will prune
-		// future exploration.
-		if !c.applyInvariants(n.locs, z) {
-			c.freeZone(z)
-			n.locs, n.env = nil, nil
-			w.droppedEmptied++
-			continue
-		}
-		n.zone = z
-		if !store.add(c.stateKey(n), n) {
-			// Subsumed by an earlier seeded state; its information is
-			// already covered.
-			c.freeZone(z)
-			n.zone = nil
-			continue
-		}
-		w.seeded[n] = struct{}{}
-		if n.czone != nil && !frontSet[ix] {
-			// The compact store holds the minimal form; only frontier
-			// members keep their matrix until they are pushed (the
-			// BestTime heap takes its priority from the zone).
-			c.releaseNode(n)
-		}
-	}
-
-	// Frontier, in the seed's exact order: only nodes that made it into
-	// the store and were not since evicted by a subsuming sibling.
-	pushed := make(map[*node]bool, len(cp.Frontier))
-	for _, fe := range cp.Frontier {
-		n := nodes[fe.Node]
-		if pushed[n] || n.subsumed.Load() {
-			continue
-		}
-		if _, ok := w.seeded[n]; !ok {
-			continue
-		}
-		pushed[n] = true
-		w.frontier = append(w.frontier, n)
-	}
+	return nil, replays
 }
 
 // keepPath offers an instant witness's replayed path to the store, root
@@ -322,14 +173,9 @@ func (c *engineCtx) keepPath(store stateStore, found *node) []*node {
 // legal-step rule of checkStep and non-empty zones through fire (clock
 // guards, invariants, delay closure). root is not modified. Returns the
 // final node — whose traceOf is exactly trace — or nil if any step fails
-// or the final state misses the goal's discrete conditions. For deadlock
-// goals the deadlock-ness is rechecked on the replayed node: re-validation
-// only intersects a seeded zone with this model's invariants, so when this
-// model relaxes a guard or invariant along the path (an extended
-// deadline) the replayed zone can be strictly larger than the seeded one
-// and have successors it lacked. Requiring the freshly computed successor
-// set of the replayed node to be empty is what makes a replayed deadlock
-// witness a witness of THIS model.
+// or the final state misses the goal's discrete conditions. It is never
+// asked about a deadlock goal, whose deadlock-ness a replay does not
+// check.
 func (c *engineCtx) replayTrace(root *node, trace []Transition, goal Goal) *node {
 	cur := root
 	for _, t := range trace {
@@ -344,16 +190,6 @@ func (c *engineCtx) replayTrace(root *node, trace []Transition, goal Goal) *node
 	}
 	if !goal.Satisfied(cur.locs, cur.env) {
 		return nil
-	}
-	if goal.Deadlock {
-		deadlocked := true
-		c.successors(cur, func(s *node) {
-			deadlocked = false
-			c.recycleNode(s)
-		})
-		if !deadlocked {
-			return nil
-		}
 	}
 	return cur
 }

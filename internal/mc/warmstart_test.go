@@ -1,10 +1,9 @@
-// Warm-start tests: seeding a search from another (or the same) model's
-// kept-final checkpoint must only ever help — an unusable seed degrades
-// to a cold search, a usable one skips re-exploration, and a witness that
-// crosses seeded state is either replay-validated on the current model or
-// the run fails loudly with ErrWarmStart. Model pairs are built so the
-// interesting paths (instant witness, full drop, failed replay) trigger
-// deterministically rather than by timing.
+// Warm-start tests: a warm start from another (or the same) model's
+// kept-final checkpoint either answers with a seed witness replayed on
+// the current model, exploring nothing, or is exactly a cold search —
+// same verdict, counts and trace. Model pairs are built so both paths,
+// and the seeds whose stale states would lie about the current model,
+// trigger deterministically rather than by timing.
 package mc_test
 
 import (
@@ -84,7 +83,7 @@ func keptPathOnly(t *testing.T, path string, trace []mc.Transition) {
 
 // TestWarmStartSameModelInstantWitness: re-running the identical query
 // warm-started from its own final checkpoint must find the goal by
-// replaying the seed's goal state, exploring nothing and seeding nothing:
+// replaying the seed's goal state, exploring nothing:
 // the witness is the seed run's own trace, it still replays and
 // concretizes, and the run's kept-final checkpoint holds only its path.
 func TestWarmStartSameModelInstantWitness(t *testing.T) {
@@ -115,9 +114,8 @@ func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	if res.Stats.StatesExplored != 0 {
 		t.Fatalf("instant witness still explored %d states", res.Stats.StatesExplored)
 	}
-	if res.Stats.WarmReplays != 1 || res.Stats.WarmSeeded != 0 || res.Stats.WarmDropped != 0 {
-		t.Fatalf("warm run replayed %d, seeded %d, dropped %d; want 1, 0, 0",
-			res.Stats.WarmReplays, res.Stats.WarmSeeded, res.Stats.WarmDropped)
+	if res.Stats.WarmReplays != 1 {
+		t.Fatalf("warm run replayed %d candidates, want 1", res.Stats.WarmReplays)
 	}
 	keptPathOnly(t, kept, res.Trace)
 	checkTrace(t, sys, goal, res)
@@ -156,126 +154,6 @@ func TestWarmStartNearbyModelFewerStates(t *testing.T) {
 	checkTrace(t, warmSys, warmGoal, warm)
 }
 
-// TestWarmStartStructureMismatchDropsAll: a seed from a differently shaped
-// network (more automata, wider env) must be dropped wholesale and the
-// search must behave exactly like a cold run.
-func TestWarmStartStructureMismatchDropsAll(t *testing.T) {
-	seedSys, seedGoal := fischerKModel(t, 5, 2)
-	path, _ := keepFinalCheckpoint(t, seedSys, seedGoal, mc.DefaultOptions(mc.DFS))
-
-	sys, goal := fischerKModel(t, 4, 2)
-	cold, err := mc.Explore(sys, goal, mc.DefaultOptions(mc.DFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys, goal = fischerKModel(t, 4, 2)
-	opts := mc.DefaultOptions(mc.DFS)
-	opts.WarmStart = mc.WarmStartOptions{Path: path}
-	warm, err := mc.Explore(sys, goal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.WarmSeeded != 0 {
-		t.Fatalf("seeded %d states across a structural mismatch", warm.Stats.WarmSeeded)
-	}
-	if warm.Stats.WarmDropped == 0 {
-		t.Fatal("mismatched seed reported no drops")
-	}
-	if warm.WarmStarted {
-		t.Fatal("a seed that left no state in the store reported WarmStarted")
-	}
-	if warm.Stats.WarmDroppedShape != warm.Stats.WarmDropped || warm.Stats.WarmReplays != 0 {
-		t.Fatalf("dropped %d, of them %d for shape, replayed %d; want every drop a shape drop and no replay",
-			warm.Stats.WarmDropped, warm.Stats.WarmDroppedShape, warm.Stats.WarmReplays)
-	}
-	if warm.Found != cold.Found || warm.Stats.StatesExplored != cold.Stats.StatesExplored {
-		t.Fatalf("fully dropped warm run diverged from cold: found=%v/%v explored=%d/%d",
-			warm.Found, cold.Found, warm.Stats.StatesExplored, cold.Stats.StatesExplored)
-	}
-	checkTrace(t, sys, goal, warm)
-}
-
-// guardedModel builds l0 -> l1 -> l2 where the first edge needs x >= 5
-// and l1 carries the invariant x <= inv; l3 is unreachable, so every
-// search is exhaustive and a warm run always seeds.
-func guardedModel(t testing.TB, inv int32) (*ta.System, mc.Goal, []int) {
-	t.Helper()
-	s := ta.NewSystem("guarded")
-	x := s.AddClock("x")
-	a := s.AddAutomaton("A")
-	l0 := a.AddLocation("l0", ta.Normal)
-	l1 := a.AddLocation("l1", ta.Normal)
-	l2 := a.AddLocation("l2", ta.Normal)
-	l3 := a.AddLocation("l3", ta.Normal)
-	a.SetInit(l0)
-	a.SetInvariant(l1, ta.LE(x, inv))
-	a.Edge(l0, l1).When(ta.GE(x, 5)).Done()
-	a.Edge(l1, l2).Done()
-	return s, mc.Goal{Desc: "reach l3", Locs: []mc.LocRequirement{{Automaton: 0, Location: l3}}}, []int{l0, l1, l2}
-}
-
-// TestWarmStartDropReasons: each dropped seed state is counted under its
-// reason. The seed (deadline 10) holds l0, l1 (5 <= x <= 10) and l2; the
-// warm model's deadline 3 empties l1, and l2's depth is corrupted in the
-// file, which breaks its ancestor chain. l0 is seeded.
-func TestWarmStartDropReasons(t *testing.T) {
-	sys, goal, locs := guardedModel(t, 10)
-	path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.BFS))
-	cp, err := snapshot.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cp.Nodes {
-		if sn := &cp.Nodes[i]; sn.HasState && int(sn.Locs[0]) == locs[2] {
-			sn.Depth += 5
-		}
-	}
-	if err := snapshot.Write(path, cp); err != nil {
-		t.Fatal(err)
-	}
-
-	sys, goal, _ = guardedModel(t, 3)
-	opts := mc.DefaultOptions(mc.BFS)
-	opts.WarmStart = mc.WarmStartOptions{Path: path}
-	res, err := mc.Explore(sys, goal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st.WarmSeeded != 1 || st.WarmDroppedShape != 0 || st.WarmDroppedChain != 1 || st.WarmDroppedEmptied != 1 || st.WarmDropped != 2 {
-		t.Fatalf("seeded %d, dropped %d (shape %d, chain %d, emptied %d); want 1, 2 (0, 1, 1)",
-			st.WarmSeeded, st.WarmDropped, st.WarmDroppedShape, st.WarmDroppedChain, st.WarmDroppedEmptied)
-	}
-	if st.WarmReplays != 0 || !res.WarmStarted || res.Found {
-		t.Fatalf("replays %d, WarmStarted %v, Found %v; want 0, true, false", st.WarmReplays, res.WarmStarted, res.Found)
-	}
-}
-
-// TestWarmStartMissingSeedRunsCold: warm starting is opportunistic — a
-// missing seed file is not an error, just a cold search.
-func TestWarmStartMissingSeedRunsCold(t *testing.T) {
-	sys, goal := fischerKModel(t, 4, 2)
-	cold, err := mc.Explore(sys, goal, mc.DefaultOptions(mc.DFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys, goal = fischerKModel(t, 4, 2)
-	opts := mc.DefaultOptions(mc.DFS)
-	opts.WarmStart = mc.WarmStartOptions{Path: filepath.Join(t.TempDir(), "absent.ckpt")}
-	warm, err := mc.Explore(sys, goal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.WarmStarted {
-		t.Fatal("run claims a warm start from a nonexistent file")
-	}
-	if warm.Found != cold.Found || warm.Stats.StatesExplored != cold.Stats.StatesExplored {
-		t.Fatal("missing-seed run diverged from cold")
-	}
-}
-
 // seqModel builds a three-location chain L0 -> L1 -> L2 where the first
 // edge assigns v := set and the second is guarded on v == 1, so a seed
 // from set=1 carries states (v=1 at L1) the set=2 model cannot reach.
@@ -292,47 +170,6 @@ func seqModel(t testing.TB, set int) (*ta.System, mc.Goal) {
 	a.Edge(l0, l1).Assign(fmt.Sprintf("v := %d", set)).Done()
 	a.Edge(l1, l2).Guard("v == 1").Done()
 	return s, mc.Goal{Desc: "reach l2", Locs: []mc.LocRequirement{{Automaton: 0, Location: l2}}}
-}
-
-// TestWarmStartInvalidSeededWitnessErrs constructs the one warm-start
-// failure that must be loud: the search expands a seeded frontier state
-// whose stale env (v=1, unreachable on the new model) satisfies the guard
-// into the goal, so the found witness taints through seeded state — and
-// its replay on the new model fails. The run must return ErrWarmStart,
-// never the false witness.
-func TestWarmStartInvalidSeededWitnessErrs(t *testing.T) {
-	// Interrupt the set=1 model after one explored state: the checkpoint
-	// holds {L0, L1(v=1)} with L1 still on the frontier.
-	seedSys, seedGoal := seqModel(t, 1)
-	path := filepath.Join(t.TempDir(), "seed.ckpt")
-	opts := mc.DefaultOptions(mc.BFS)
-	opts.MaxStates = 1
-	opts.Checkpoint = mc.CheckpointOptions{Path: path}
-	res, err := mc.Explore(seedSys, seedGoal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Abort != mc.AbortStates || res.Found {
-		t.Fatalf("seeding run: abort=%q found=%v, want clean state-limit interrupt", res.Abort, res.Found)
-	}
-
-	// The set=2 model can never satisfy v == 1; cold search proves it.
-	coldSys, coldGoal := seqModel(t, 2)
-	cold, err := mc.Explore(coldSys, coldGoal, mc.DefaultOptions(mc.BFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Found {
-		t.Fatal("set=2 model reached l2 cold; test model broken")
-	}
-
-	warmSys, warmGoal := seqModel(t, 2)
-	wopts := mc.DefaultOptions(mc.BFS)
-	wopts.WarmStart = mc.WarmStartOptions{Path: path}
-	_, err = mc.Explore(warmSys, warmGoal, wopts)
-	if !errors.Is(err, mc.ErrWarmStart) {
-		t.Fatalf("got %v, want ErrWarmStart", err)
-	}
 }
 
 // deadlineModel builds l0 -> l1 -> l2 where l1 carries the invariant
@@ -353,64 +190,6 @@ func deadlineModel(t testing.TB, inv int32) (*ta.System, mc.Goal) {
 	a.Edge(l1, l2).When(ta.GT(x, 5)).Done()
 	return s, mc.Goal{Desc: "deadlock at l1", Deadlock: true,
 		Locs: []mc.LocRequirement{{Automaton: 0, Location: l1}}}
-}
-
-// TestWarmStartDeadlockRelaxedModelErrs guards against the false-positive
-// deadlock witness: the seed run (deadline 3) is interrupted with l1 still
-// on the frontier, so the warm run of the relaxed model (deadline 10)
-// pops the seeded l1 whose inherited zone x<=3 cannot fire the x>5 edge —
-// a deadend on the seeded zone, but NOT on this model, whose replayed
-// zone x<=10 has a successor. The run must fail with ErrWarmStart (so a
-// server falls back cold), never report the deadlock the relaxed model
-// does not have.
-func TestWarmStartDeadlockRelaxedModelErrs(t *testing.T) {
-	seedSys, seedGoal := deadlineModel(t, 3)
-	path := filepath.Join(t.TempDir(), "seed.ckpt")
-	opts := mc.DefaultOptions(mc.BFS)
-	opts.MaxStates = 1 // interrupt after expanding l0: l1 stays frontier
-	opts.Checkpoint = mc.CheckpointOptions{Path: path}
-	res, err := mc.Explore(seedSys, seedGoal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Abort != mc.AbortStates || res.Found {
-		t.Fatalf("seeding run: abort=%q found=%v, want clean state-limit interrupt", res.Abort, res.Found)
-	}
-
-	// The relaxed model has no deadlock at l1; cold search proves it.
-	coldSys, coldGoal := deadlineModel(t, 10)
-	cold, err := mc.Explore(coldSys, coldGoal, mc.DefaultOptions(mc.BFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Found {
-		t.Fatal("relaxed model deadlocks at l1 cold; test model broken")
-	}
-
-	warmSys, warmGoal := deadlineModel(t, 10)
-	wopts := mc.DefaultOptions(mc.BFS)
-	wopts.WarmStart = mc.WarmStartOptions{Path: path}
-	warm, err := mc.Explore(warmSys, warmGoal, wopts)
-	if err == nil && warm.Found {
-		t.Fatalf("warm run reported a deadlock the relaxed model does not have (trace %v)", warm.Trace)
-	}
-	if !errors.Is(err, mc.ErrWarmStart) {
-		t.Fatalf("got %v, want ErrWarmStart", err)
-	}
-
-	// The unrelaxed model still finds its genuine deadlock through the
-	// same warm seed: the replayed zone equals the seeded one, and the
-	// successor recheck confirms rather than refutes it.
-	sameSys, sameGoal := deadlineModel(t, 3)
-	sopts := mc.DefaultOptions(mc.BFS)
-	sopts.WarmStart = mc.WarmStartOptions{Path: path}
-	same, err := mc.Explore(sameSys, sameGoal, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same.WarmStarted || !same.Found {
-		t.Fatalf("same-model warm deadlock run: WarmStarted=%v Found=%v, want both", same.WarmStarted, same.Found)
-	}
 }
 
 // TestWarmStartRejections: option combinations that cannot be honored must
@@ -455,9 +234,8 @@ func TestWarmStartRejections(t *testing.T) {
 	})
 }
 
-// TestWarmStartParallel: a warm-started search with a worker count runs
-// in parallel through the same seeding and replay validation as the
-// sequential one, and still benefits from the seed.
+// TestWarmStartParallel: a warm-started search with a worker count
+// replays the seed's witness like the sequential one.
 func TestWarmStartParallel(t *testing.T) {
 	sys, goal := fischerKModel(t, 4, 2)
 	path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
@@ -477,8 +255,8 @@ func TestWarmStartParallel(t *testing.T) {
 }
 
 // stateLimitSeed runs sys until maxStates states are explored and
-// returns the abort-time checkpoint: a seed whose frontier is non-empty,
-// so a warm start from it still has exploring to do.
+// returns the abort-time checkpoint: a seed whose stored states include
+// an unexpanded frontier.
 func stateLimitSeed(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Options, maxStates int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.ckpt")
@@ -494,99 +272,101 @@ func stateLimitSeed(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Options,
 	return path
 }
 
-// TestWarmStartParallelSpreadsWork: the seed's frontier is scattered over
-// the worker deques, so under Profile at least two workers report
-// explored states.
-func TestWarmStartParallelSpreadsWork(t *testing.T) {
-	sys, goal := fischerModel(t, 5, true)
-	path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(mc.BFS), 1000)
-
-	sys, goal = fischerModel(t, 5, true)
-	opts := mc.DefaultOptions(mc.BFS)
-	opts.Workers = 4
-	opts.Profile = true
-	opts.WarmStart = mc.WarmStartOptions{Path: path}
-	res, err := mc.Explore(sys, goal, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestWarmStartNoReplayRunsCold: a seed with no goal state that replays
+// on the current model leaves a cold search, under every order and worker
+// count: no error, WarmStarted unset, the cold verdict, and — sequentially
+// — the cold explored and stored counts and trace. The seeds cover a
+// missing file, a network of another shape (5 processes seeding 4), and
+// three of the current shape: a stale-integer seed whose frontier state
+// (v=1 at l1) the set=2 model cannot reach but whose guard it satisfies,
+// a deadline-3 seed whose l1 is a deadlock on its own zone but not under
+// the relaxed deadline 10, and a broken Fischer whose violations the
+// correct protocol cannot replay. Stale states of the middle two, taken
+// into the store, would lead a search to a goal this model does not have;
+// their verdicts must equal the cold ones, which are negative.
+func TestWarmStartNoReplayRunsCold(t *testing.T) {
+	type model func(testing.TB) (*ta.System, mc.Goal)
+	fischer4 := func(inv bool) model {
+		return func(tb testing.TB) (*ta.System, mc.Goal) { return fischerModel(tb, 4, inv) }
 	}
-	if !res.WarmStarted {
-		t.Fatal("warm run did not report WarmStarted")
+	fischerK := func(n int) model {
+		return func(tb testing.TB) (*ta.System, mc.Goal) { return fischerKModel(tb, n, 2) }
 	}
-	busy := 0
-	for _, n := range res.Stats.WorkerExplored {
-		if n > 0 {
-			busy++
-		}
+	seq := func(set int) model {
+		return func(tb testing.TB) (*ta.System, mc.Goal) { return seqModel(tb, set) }
 	}
-	if busy < 2 {
-		t.Fatalf("WorkerExplored = %v, want at least 2 workers exploring", res.Stats.WorkerExplored)
+	deadline := func(inv int32) model {
+		return func(tb testing.TB) (*ta.System, mc.Goal) { return deadlineModel(tb, inv) }
 	}
-}
-
-// TestWarmStartParallelNegative: an exhaustive parallel warm run of a safe
-// model reports WarmStarted with its (advisory) negative, and agrees with
-// a cold parallel run — verdict, and the final antichain: the seed holds
-// only this model's states, every one expanded or on its frontier.
-func TestWarmStartParallelNegative(t *testing.T) {
-	for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
-		sys, goal := fischerModel(t, 5, true)
-		path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(order), 1500)
-
-		sys, goal = fischerModel(t, 5, true)
-		opts := mc.DefaultOptions(order)
-		opts.Workers = 4
-		cold, err := mc.Explore(sys, goal, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, goal = fischerModel(t, 5, true)
-		opts.WarmStart = mc.WarmStartOptions{Path: path}
-		warm, err := mc.Explore(sys, goal, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.WarmStarted || warm.Stats.WarmSeeded == 0 {
-			t.Fatalf("%v: WarmStarted=%v WarmSeeded=%d, want a seeded run", order, warm.WarmStarted, warm.Stats.WarmSeeded)
-		}
-		if warm.Found || cold.Found {
-			t.Fatalf("%v: safe fischer found: warm %v, cold %v", order, warm.Found, cold.Found)
-		}
-		if warm.Stats.StatesStored != cold.Stats.StatesStored || warm.Stats.DiscreteStates != cold.Stats.DiscreteStates {
-			t.Fatalf("%v: warm stored %d (%d discrete), cold %d (%d)", order,
-				warm.Stats.StatesStored, warm.Stats.DiscreteStates, cold.Stats.StatesStored, cold.Stats.DiscreteStates)
+	keptFinal := func(m model) func(*testing.T) string {
+		return func(t *testing.T) string {
+			sys, goal := m(t)
+			path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
+			return path
 		}
 	}
-}
-
-// TestWarmStartParallelReplayFailureErrs runs the two seeded-prefix
-// failures of the sequential tests — a stale-integer witness and a
-// deadlock the relaxed model does not have — with four workers: the run
-// must fail with ErrWarmStart, never return the trace.
-func TestWarmStartParallelReplayFailureErrs(t *testing.T) {
+	stateLimit := func(m model) func(*testing.T) string {
+		return func(t *testing.T) string {
+			sys, goal := m(t)
+			return stateLimitSeed(t, sys, goal, mc.DefaultOptions(mc.BFS), 1)
+		}
+	}
 	cases := []struct {
-		name       string
-		seed, warm func(testing.TB) (*ta.System, mc.Goal)
+		name  string
+		seed  func(*testing.T) string
+		warm  model
+		found bool // the cold verdict
+		// replayed: the seed holds goal states of this model's shape, so
+		// the warm run replays (and rejects) at least one.
+		replayed bool
 	}{
-		{"stale-integer",
-			func(tb testing.TB) (*ta.System, mc.Goal) { return seqModel(tb, 1) },
-			func(tb testing.TB) (*ta.System, mc.Goal) { return seqModel(tb, 2) }},
-		{"relaxed-deadlock",
-			func(tb testing.TB) (*ta.System, mc.Goal) { return deadlineModel(tb, 3) },
-			func(tb testing.TB) (*ta.System, mc.Goal) { return deadlineModel(tb, 10) }},
+		{"missing-file", func(t *testing.T) string { return filepath.Join(t.TempDir(), "absent.ckpt") },
+			fischerK(4), true, false},
+		{"shape-mismatch", keptFinal(fischerK(5)), fischerK(4), true, false},
+		{"stale-integer", stateLimit(seq(1)), seq(2), false, false},
+		{"relaxed-deadlock", stateLimit(deadline(3)), deadline(10), false, false},
+		{"correct-fischer", keptFinal(fischer4(false)), fischer4(true), false, true},
 	}
 	for _, tc := range cases {
-		for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
-			sys, goal := tc.seed(t)
-			path := stateLimitSeed(t, sys, goal, mc.DefaultOptions(mc.BFS), 1)
-			sys, goal = tc.warm(t)
-			opts := mc.DefaultOptions(order)
-			opts.Workers = 4
-			opts.WarmStart = mc.WarmStartOptions{Path: path}
-			res, err := mc.Explore(sys, goal, opts)
-			if !errors.Is(err, mc.ErrWarmStart) {
-				t.Fatalf("%s %v: got err=%v found=%v trace=%v, want ErrWarmStart", tc.name, order, err, res.Found, res.Trace)
+		t.Run(tc.name, func(t *testing.T) {
+			path := tc.seed(t)
+			for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+				for _, workers := range []int{1, 4} {
+					opts := mc.DefaultOptions(order)
+					opts.Workers = workers
+					sys, goal := tc.warm(t)
+					cold, err := mc.Explore(sys, goal, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cold.Found != tc.found {
+						t.Fatalf("%v/%d: cold found=%v, want %v; test model broken", order, workers, cold.Found, tc.found)
+					}
+					sys, goal = tc.warm(t)
+					opts.WarmStart = mc.WarmStartOptions{Path: path}
+					warm, err := mc.Explore(sys, goal, opts)
+					if err != nil {
+						t.Fatalf("%v/%d: %v", order, workers, err)
+					}
+					if warm.WarmStarted || warm.Found != cold.Found {
+						t.Fatalf("%v/%d: WarmStarted=%v found=%v (trace %v), want a cold run finding %v",
+							order, workers, warm.WarmStarted, warm.Found, warm.Trace, cold.Found)
+					}
+					if (warm.Stats.WarmReplays > 0) != tc.replayed {
+						t.Fatalf("%v/%d: replayed %d candidates, want some: %v", order, workers, warm.Stats.WarmReplays, tc.replayed)
+					}
+					checkTrace(t, sys, goal, warm)
+					if workers > 1 {
+						continue
+					}
+					if warm.Stats.StatesExplored != cold.Stats.StatesExplored || warm.Stats.StatesStored != cold.Stats.StatesStored ||
+						!slices.Equal(warm.Trace, cold.Trace) {
+						t.Fatalf("%v: warm explored %d stored %d trace %v, cold %d, %d, %v", order,
+							warm.Stats.StatesExplored, warm.Stats.StatesStored, warm.Trace,
+							cold.Stats.StatesExplored, cold.Stats.StatesStored, cold.Trace)
+					}
+				}
 			}
-		}
+		})
 	}
 }

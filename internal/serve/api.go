@@ -124,7 +124,6 @@ func jobJSON(j *Job) JobJSON {
 			jj.ResumedFrom = j.Key
 		}
 		jj.WarmStartedFrom = out.warmFrom
-		jj.WarmFallback = out.warmFallback
 		if out.err != nil {
 			jj.Error = out.err.Error()
 		}
@@ -227,7 +226,6 @@ func (s *Server) Status() StatusJSON {
 		ExecutionsFinished: s.finished.Load(),
 		ExecutionsSkipped:  s.skipped.Load(),
 		WarmStarts:         s.warmHits.Load(),
-		WarmFallbacks:      s.warmFallbacks.Load(),
 		Cache:              s.cache.status(),
 		Tenants:            s.queue.tenantStatus(),
 	}

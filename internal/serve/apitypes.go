@@ -141,28 +141,14 @@ type JobJSON struct {
 	// the search from an earlier aborted run. Empty for fresh runs.
 	ResumedFrom string `json:"resumed_from,omitempty"`
 	// WarmStartedFrom names the checkpoint key whose final snapshot
-	// warm-started this execution's search (Config.WarmStart): the prior
-	// run's own key for a re-run, or a near-miss key — same plant kind
-	// and options, different model — for a re-synthesis after a
-	// disturbance. Empty for cold runs.
+	// answered this execution's search with a replayed witness
+	// (Config.WarmStart): the prior run's own key for a re-run, or a
+	// near-miss key — same plant kind and options, different model — for
+	// a re-synthesis after a disturbance. Empty for cold runs, including
+	// a warm attempt that replayed nothing and searched cold.
 	WarmStartedFrom string `json:"warm_started_from,omitempty"`
-	// WarmFallback says why a warm start was discarded and the search
-	// rerun cold: WarmFallbackReplayFailed or WarmFallbackNegative.
-	// Empty when no warm attempt was rerun.
-	WarmFallback string `json:"warm_fallback,omitempty"`
-	Error        string `json:"error,omitempty"`
+	Error           string `json:"error,omitempty"`
 }
-
-// Reasons a warm-started search is discarded and rerun cold (JobJSON's
-// WarmFallback).
-const (
-	// WarmFallbackReplayFailed: the warm search reached a goal whose
-	// witness does not replay on the new model (mc.ErrWarmStart).
-	WarmFallbackReplayFailed = "replay_failed"
-	// WarmFallbackNegative: a seed from another model ended negative or
-	// failed, which only a cold search may report.
-	WarmFallbackNegative = "negative"
-)
 
 // ScheduleJSON is the projected plant schedule of a plant job: the
 // paper's Table 2 content in machine-readable form.
@@ -268,13 +254,10 @@ type StatusJSON struct {
 	// ExecutionsSkipped counts executions settled without running because
 	// every attached job canceled while they were still queued.
 	ExecutionsSkipped int64 `json:"executions_skipped,omitempty"`
-	// WarmStarts counts executions whose search was seeded from a kept
-	// checkpoint (Config.WarmStart).
-	WarmStarts int64 `json:"warm_starts,omitempty"`
-	// WarmFallbacks counts warm attempts discarded and rerun cold (each
-	// such job's record names the reason in warm_fallback).
-	WarmFallbacks int64       `json:"warm_fallbacks,omitempty"`
-	Cache         CacheStatus `json:"cache"`
+	// WarmStarts counts executions answered by a kept checkpoint's
+	// replayed witness (Config.WarmStart).
+	WarmStarts int64       `json:"warm_starts,omitempty"`
+	Cache      CacheStatus `json:"cache"`
 	// Tenants is the fair queue's per-tenant backlog, in tenant creation
 	// order (present once any request has been admitted).
 	Tenants []TenantStatus `json:"tenants,omitempty"`

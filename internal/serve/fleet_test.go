@@ -456,9 +456,9 @@ func TestWarmDriftChainKeepsPaths(t *testing.T) {
 			if jj.WarmStartedFrom == "" {
 				t.Fatalf("drift %d %v did not warm-start", i, d)
 			}
-			if st := jj.Report.Stats; st.WarmReplays == 0 || st.WarmSeeded != 0 || st.StatesExplored != 0 {
-				t.Errorf("drift %d %v: replays %d, seeded %d, explored %d; want an instant witness",
-					i, d, st.WarmReplays, st.WarmSeeded, st.StatesExplored)
+			if st := jj.Report.Stats; st.WarmReplays == 0 || st.StatesExplored != 0 {
+				t.Errorf("drift %d %v: replays %d, explored %d; want an instant witness",
+					i, d, st.WarmReplays, st.StatesExplored)
 			}
 		}
 		trace, stored := checkKeptUnguided(t, pr, filepath.Join(dir, jj.Key+".ckpt"))
@@ -501,47 +501,66 @@ func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) (trace []mc.
 	return trace, stored
 }
 
-// TestWarmFallbackReplayFailed: on one warm-start server, a treatment
-// drift seeded from a deadline-shifted run's snapshot reaches a goal whose
-// witness does not replay on the drifted plant. The server reruns it cold,
-// says so in the job record (warm_fallback "replay_failed") and in
-// /v1/status, and the cold schedule passes the unguided replay.
-func TestWarmFallbackReplayFailed(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
-	deadline, treatA, treatB := int32(56), int32(4), int32(4)
-	shift := &PlantRequest{Batches: 3, Params: &ParamsRequest{Deadline: &deadline}}
-	drift := &PlantRequest{Batches: 3, Params: &ParamsRequest{TreatA: &treatA, TreatB: &treatB}}
-	var jobs []JobJSON
-	for _, pr := range []*PlantRequest{shift, drift} {
+// TestWarmNoReplayRunsCold: on one warm-start server, a treatment drift
+// whose seed, a deadline-shifted run's snapshot, holds no witness that
+// replays on the drifted plant searches cold in the same run: it reports
+// no warm start, explores exactly what the same request explores on a
+// fresh server, and its schedule passes the unguided replay. A model job
+// that ends negative after a warm attempt (correct Fischer seeded from a
+// broken variant) keeps no snapshot, since it holds no goal to replay.
+func TestWarmNoReplayRunsCold(t *testing.T) {
+	post := func(ts *httptest.Server, pr *PlantRequest) JobJSON {
+		t.Helper()
 		body, err := json.Marshal(SubmitRequest{Plant: pr, Resynthesis: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		code, jj := postJob(t, ts, string(body), true)
-		if code != http.StatusOK || jj.State != JobDone || jj.Schedule == nil {
+		if code != http.StatusOK || jj.State != JobDone || jj.Schedule == nil || jj.Report == nil {
 			t.Fatalf("plant %+v: status %d state %q (%s)", *pr.Params, code, jj.State, jj.Error)
 		}
-		jobs = append(jobs, jj)
+		return jj
 	}
-	if got := jobs[0].WarmFallback; got != "" {
-		t.Errorf("cold first job: warm_fallback = %q, want none", got)
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
+	deadline, treatA, treatB := int32(56), int32(4), int32(4)
+	shift := &PlantRequest{Batches: 3, Params: &ParamsRequest{Deadline: &deadline}}
+	drift := &PlantRequest{Batches: 3, Params: &ParamsRequest{TreatA: &treatA, TreatB: &treatB}}
+	post(ts, shift)
+	jj := post(ts, drift)
+	if jj.WarmStartedFrom != "" {
+		t.Errorf("drift searched cold but reports warm_started_from %q", jj.WarmStartedFrom)
 	}
-	if got := jobs[1].WarmFallback; got != WarmFallbackReplayFailed {
-		t.Errorf("drift: warm_fallback = %q, want %q", got, WarmFallbackReplayFailed)
+	if jj.Report.Stats.WarmReplays == 0 {
+		t.Error("drift replayed no seed candidate; the warm attempt never ran")
 	}
-	if jobs[1].WarmStartedFrom != "" {
-		t.Errorf("drift reran cold but reports warm_started_from %q", jobs[1].WarmStartedFrom)
+	_, fresh := newTestServer(t, Config{Workers: 1, CheckpointDir: t.TempDir(), WarmStart: true})
+	cold := post(fresh, drift)
+	if got, want := jj.Report.Stats.StatesExplored, cold.Report.Stats.StatesExplored; got != want {
+		t.Errorf("drift explored %d states after a failed warm attempt, %d cold", got, want)
 	}
-	if got := srv.Status().WarmFallbacks; got != 1 {
-		t.Errorf("status warm_fallbacks = %d, want 1", got)
+	checkKeptUnguided(t, drift, filepath.Join(dir, jj.Key+".ckpt"))
+
+	correct := fischerSrc(2, 2)
+	broken := strings.ReplaceAll(correct, "> 2 &&", "> 1 &&")
+	for _, src := range []string{broken, correct} {
+		code, mj := postJob(t, ts, submitBody(src, `{"search": "dfs"}`), true)
+		if code != http.StatusOK || mj.State != JobDone || mj.Report.Result.Found != (src == broken) {
+			t.Fatalf("fischer (broken %v): status %d state %q found %v (%s)", src == broken, code, mj.State, mj.Report.Result.Found, mj.Error)
+		}
+		if src == correct && (mj.Report.Stats.WarmReplays == 0 || mj.WarmStartedFrom != "") {
+			t.Errorf("correct fischer: replays %d, warm_started_from %q; want a failed warm attempt", mj.Report.Stats.WarmReplays, mj.WarmStartedFrom)
+		}
+		_, err := os.Stat(filepath.Join(dir, mj.Key+".ckpt"))
+		if kept := err == nil; kept != (src == broken) {
+			t.Errorf("fischer (broken %v): snapshot kept = %v, want %v", src == broken, kept, src == broken)
+		}
 	}
-	checkKeptUnguided(t, drift, filepath.Join(dir, jobs[1].Key+".ckpt"))
 }
 
 // TestWarmStartShapeMismatchReportsCold: a seed from the same warm family
-// but a different model shape (two batches seeding three) loses every
-// state to re-validation, so the search runs cold and must not be
+// but a different model shape (two batches seeding three) has no goal
+// state of this shape to replay, so the search runs cold and must not be
 // reported as warm-started.
 func TestWarmStartShapeMismatchReportsCold(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: t.TempDir(), WarmStart: true})
@@ -647,18 +666,16 @@ func TestCheckpointGCCount(t *testing.T) {
 
 // TestWarmColdRetryIgnoresOwnFinalSnapshot: a correct Fischer model
 // warm-started from a broken same-shape variant (same search order, so
-// the same warm family) ends negative, and the server reruns it cold. The
-// warm attempt left its own kept-final snapshot at the job's checkpoint
-// path; the cold rerun must start from scratch rather than try to resume
-// from that file (which the engine refuses), so the job settles done with
-// "not found" and its repeat is served from the cache.
+// the same warm family) replays none of the variant's witnesses and
+// searches cold in the same run. It keeps no final snapshot (a negative
+// has no goal to replay), so nothing is left at its checkpoint path for
+// a later run to trip over; the job settles done with "not found" and its
+// repeat is served from the cache.
 func TestWarmColdRetryIgnoresOwnFinalSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
-	// Two processes under DFS: the seeded broken state space holds no
-	// goal state the correct model can reach, so the warm attempt ends
-	// negative (rather than failing witness replay) and leaves its final
-	// snapshot behind.
+	// Two processes under DFS: the broken variant's kept snapshot holds
+	// no goal state whose path the correct model can replay.
 	correct := fischerSrc(2, 2)
 	broken := strings.ReplaceAll(correct, "> 2 &&", "> 1 &&")
 	code, seed := postJob(t, ts, submitBody(broken, `{"search": "dfs"}`), true)

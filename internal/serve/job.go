@@ -309,16 +309,11 @@ type outcome struct {
 	// resumed marks an execution that was seeded from a durable checkpoint
 	// left by an earlier aborted run of the same cache key.
 	resumed bool
-	// warmFrom names the checkpoint key whose final snapshot warm-started
-	// the search ("" for cold runs); set only when the engine confirmed
-	// the seed took effect — its witness replayed or its states seeded the
-	// store (mc.Result.WarmStarted).
+	// warmFrom names the checkpoint key whose final snapshot answered the
+	// search ("" for cold runs); set only when the seed's witness replayed
+	// on this model (mc.Result.WarmStarted).
 	warmFrom string
-	// warmFallback says why a warm attempt was discarded and the search
-	// rerun cold (WarmFallbackReplayFailed, WarmFallbackNegative); "" when
-	// no warm attempt was rerun.
-	warmFallback string
-	err          error
+	err      error
 }
 
 func (o *outcome) describe() string {

@@ -99,19 +99,17 @@ type Config struct {
 	// cadence while a job runs (0 = abort-time checkpoints only), bounding
 	// the work lost to a hard kill rather than a clean drain.
 	CheckpointEvery time.Duration
-	// WarmStart (requires CheckpointDir) keeps every completed search's
-	// final snapshot on disk and uses those snapshots to seed later
-	// searches of nearby models: a query whose plant kind and options
-	// match a kept snapshot but whose model hash differs (a re-synthesis
-	// after a disturbance) first replays the prior run's witness on the
-	// new model, and only when that fails starts from the prior run's
-	// re-validated state space instead of from scratch. A run answered by
-	// a replayed witness keeps just that path as its own snapshot, so a
-	// chain of such re-syntheses does not grow. Soundness is the engine's
-	// problem — see mc.WarmStartOptions — and the server additionally
-	// reruns cold whenever a cross-model warm start returns a negative or
-	// fails replay validation, so warm starts can change latency but never
-	// answers.
+	// WarmStart (requires CheckpointDir) keeps the final snapshot of every
+	// search that found its goal and answers later queries of nearby
+	// models from them: a query whose plant kind and options match a kept
+	// snapshot but whose model hash differs (a re-synthesis after a
+	// disturbance) first replays the prior run's witness on the new
+	// model, and when that fails the same search goes on cold. A run
+	// answered by a replayed witness keeps just that path as its own
+	// snapshot, so a chain of such re-syntheses does not grow. Every
+	// reported witness is replayed from the new model's initial state and
+	// nothing else of the seed is used (see mc.WarmStartOptions), so warm
+	// starts can change latency but never answers.
 	WarmStart bool
 	// CheckpointGCAge and CheckpointGCMax bound the checkpoint directory:
 	// checkpoint files older than GCAge (default 24h) or beyond the GCMax
@@ -174,12 +172,11 @@ type Server struct {
 
 	workers []workerState
 
-	draining      atomic.Bool
-	started       atomic.Int64 // executions handed to ExploreContext/Synthesize
-	finished      atomic.Int64 // executions completed (any outcome)
-	skipped       atomic.Int64 // canceled-while-queued executions settled unrun
-	warmHits      atomic.Int64 // executions that actually warm-started
-	warmFallbacks atomic.Int64 // warm attempts discarded and rerun cold
+	draining atomic.Bool
+	started  atomic.Int64 // executions handed to ExploreContext/Synthesize
+	finished atomic.Int64 // executions completed (any outcome)
+	skipped  atomic.Int64 // canceled-while-queued executions settled unrun
+	warmHits atomic.Int64 // executions answered by a replayed seed witness
 
 	gcMu      sync.Mutex    // serializes gcCheckpoints sweeps
 	ckptFiles atomic.Int64  // approximate checkpoint-file count (resynced by each sweep)
@@ -522,15 +519,7 @@ func (s *Server) execute(ex *execution) *outcome {
 	run.SetOptions(ex.opts)
 
 	opts := ex.opts
-	// engineRes captures the engine's own Result — the plant pipeline
-	// reports negatives and aborts as errors, losing the mc.Result that
-	// says whether the search actually warm-started (retryCold needs it).
-	var engineRes mc.Result
-	opts.Observer = mc.Observers(
-		run.Observer(),
-		&mc.FuncObserver{OnSnapshot: ex.publish, OnDone: func(r mc.Result) { engineRes = r }},
-		opts.Observer,
-	)
+	opts.Observer = mc.Observers(run.Observer(), &mc.FuncObserver{OnSnapshot: ex.publish}, opts.Observer)
 
 	// Durability: checkpoint under the content-addressed cache key, so the
 	// file a drained or timed-out run leaves behind is found by exactly the
@@ -556,18 +545,19 @@ func (s *Server) execute(ex *execution) *outcome {
 				warmGroupKey = warmGroup(kind, canon)
 			}
 			if hdr, err := snapshot.ReadHeader(ckptPath); err == nil && hdr.Final {
-				// The exact key already has a final snapshot (a completed
-				// run, e.g. before a restart emptied the result cache).
-				// Resume would refuse it — a final checkpoint's frontier
-				// must not be replayed exactly (see mc.CheckpointOptions
-				// KeepFinal) — so seed a warm start from it instead.
+				// The exact key already has a final snapshot (a run that
+				// found its goal, e.g. before a restart emptied the result
+				// cache). Resume would refuse it — a final checkpoint's
+				// frontier must not be replayed exactly (see
+				// mc.CheckpointOptions KeepFinal) — so warm-start from it
+				// instead: its witness replays.
 				opts.Checkpoint.Resume = false
 				opts.WarmStart.Path = ckptPath
 				warmFrom = ex.key
 			} else if s.warm != nil && warmGroupKey != "" {
 				// Near-miss: another key with the same kind and options —
 				// a different model, i.e. a disturbed re-synthesis — left
-				// a final snapshot to seed from.
+				// a final snapshot whose witness may replay.
 				if seed := s.warm.lookup(warmGroupKey, ex.key); seed != "" {
 					opts.WarmStart.Path = filepath.Join(s.cfg.CheckpointDir, seed+".ckpt")
 					warmFrom = seed
@@ -586,53 +576,13 @@ func (s *Server) execute(ex *execution) *outcome {
 		os.Remove(ckptPath)
 		return true
 	}
-	// coldReason decides whether a warm-started outcome must be re-derived
-	// cold, and says why ("" means keep it): always when the engine flags
-	// a replay-invalid witness (mc.ErrWarmStart, WarmFallbackReplayFailed),
-	// and for any cross-model seed whose search ended negative or failed
-	// (WarmFallbackNegative) — a foreign model's state space may subsume zones
-	// this model would have explored further, so only a cold run may
-	// report "not satisfied". The retry is gated on the seed actually
-	// having taken effect (res.WarmStarted: a replayed witness, which is
-	// never negative, or seeded states): a missing or unusable seed file,
-	// or one whose states were all dropped by re-validation, means the
-	// search already ran cold and rerunning it would just repeat the
-	// identical work. Seeding from the query's own
-	// key is exempt (the seeded zones are genuinely this model's), and
-	// canceled or limit-aborted searches are service outcomes either way.
-	// Warm starts change latency, never answers.
-	coldReason := func(err error, res mc.Result) string {
-		if opts.WarmStart.Path == "" {
-			return ""
-		}
-		if errors.Is(err, mc.ErrWarmStart) {
-			return WarmFallbackReplayFailed
-		}
-		if warmFrom == ex.key || res.Abort != mc.AbortNone || !res.WarmStarted {
-			return ""
-		}
-		if err != nil || !res.Found {
-			return WarmFallbackNegative
-		}
-		return ""
-	}
 	out := &outcome{report: run}
-	goCold := func(reason string) {
-		s.logf("exec %s: warm start from %s not conclusive (%s); rerunning cold", shortKey(ex.key), shortKey(warmFrom), reason)
-		out.warmFallback = reason
-		s.warmFallbacks.Add(1)
-		opts.WarmStart = mc.WarmStartOptions{}
-		// The warm attempt left its kept-final snapshot at ckptPath, which
-		// the engine refuses to resume from; the cold run starts fresh.
-		opts.Checkpoint.Resume = false
-		warmFrom = ""
-	}
-	// recordWarm publishes a cleanly completed search's final snapshot to
-	// the warm index so later near-miss queries can seed from it, and
+	// recordWarm publishes the final snapshot of a search that found its
+	// goal to the warm index so later near-miss queries can replay it, and
 	// sweeps the checkpoint directory when the kept files have grown past
 	// the GC bound (the count is approximate; the sweep resyncs it).
 	recordWarm := func() {
-		if s.warm != nil && opts.Checkpoint.KeepFinal && warmGroupKey != "" {
+		if s.warm != nil && warmGroupKey != "" {
 			s.warm.record(ex.key, warmGroupKey)
 			if s.ckptFiles.Add(1) > int64(s.cfg.CheckpointGCMax) {
 				s.gcCheckpoints()
@@ -643,10 +593,6 @@ func (s *Server) execute(ex *execution) *outcome {
 	if ex.isPlant {
 		res, err := core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		if err != nil && retryFresh(err) {
-			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
-		}
-		if reason := coldReason(err, engineRes); reason != "" {
-			goCold(reason)
 			res, err = core.SynthesizePlant(ex.ctx, ex.plant, opts, synth.Options{})
 		}
 		if err != nil {
@@ -660,7 +606,7 @@ func (s *Server) execute(ex *execution) *outcome {
 		}
 		out.found = true
 		out.resumed = res.Search.Resumed
-		if res.Search.WarmStarted && warmFrom != "" {
+		if res.Search.WarmStarted {
 			out.warmFrom = warmFrom
 			s.warmHits.Add(1)
 		}
@@ -674,10 +620,6 @@ func (s *Server) execute(ex *execution) *outcome {
 	if err != nil && retryFresh(err) {
 		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
 	}
-	if reason := coldReason(err, res); reason != "" {
-		goCold(reason)
-		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
-	}
 	if err != nil {
 		out.err = err
 		return out
@@ -685,11 +627,11 @@ func (s *Server) execute(ex *execution) *outcome {
 	out.found = res.Found
 	out.abort = res.Abort
 	out.resumed = res.Resumed
-	if res.WarmStarted && warmFrom != "" {
+	if res.WarmStarted {
 		out.warmFrom = warmFrom
 		s.warmHits.Add(1)
 	}
-	if res.Abort == mc.AbortNone {
+	if res.Found {
 		recordWarm()
 	}
 	return out

@@ -2,8 +2,8 @@ package serve
 
 // warm.go is the server side of warm-started re-synthesis: an index of
 // kept final checkpoints grouped by "warm family" — same job kind and
-// normalized options, any model — so a query for a disturbed plant can be
-// seeded from the snapshot of the model it drifted away from, plus the
+// normalized options, any model — so a query for a disturbed plant can
+// replay the witness kept by the model it drifted away from, plus the
 // checkpoint-directory GC that keeps the kept files bounded.
 
 import (
@@ -24,7 +24,7 @@ import (
 // canonical options JSON the engine stamped. Two keys in one group ran
 // the same kind of query under byte-identical options and differ only in
 // the model — exactly the "small delta" a warm start may bridge, since
-// the engine re-validates every seeded state against the new model.
+// the engine replays a seed witness on the new model before reporting it.
 func warmGroup(meta string, options []byte) string {
 	h := sha256.Sum256(options)
 	return meta + "|" + hex.EncodeToString(h[:])
@@ -78,7 +78,7 @@ func (w *warmIndex) record(key, group string) {
 	w.byGroup[group] = append(w.byGroup[group], key)
 }
 
-// lookup returns a warm-family sibling of key to seed from (the most
+// lookup returns a warm-family sibling of key to warm-start from (the most
 // recently recorded one, which drifted least), or "" when the family has
 // no other member.
 func (w *warmIndex) lookup(group, key string) string {

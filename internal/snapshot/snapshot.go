@@ -7,9 +7,8 @@
 //
 // The format is deliberately neutral: the package knows nodes, zones, and
 // sections, not engines. internal/mc converts its live search state to and
-// from these types; future distributed-shard and fleet warm-start work is
-// expected to call Load directly and seed stores from Checkpoint.Nodes
-// without going through a full resume.
+// from these types; a warm start calls Load directly and replays paths
+// read from Checkpoint.Nodes without going through a full resume.
 //
 // # File layout
 //
