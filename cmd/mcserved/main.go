@@ -47,7 +47,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		workers      = flag.Int("workers", 0, "search worker pool size (0 = NumCPU)")
-		queueDepth   = flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
+		queueDepth   = flag.Int("queue", 64, "per-tenant admission queue depth (a full queue answers 429); tenancy from the X-Tenant header")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job search deadline (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits before canceling in-flight jobs")
 		cacheSize    = flag.Int("cache", 256, "result cache entries")
@@ -56,8 +56,7 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress per-job log lines")
 		ckptDir      = flag.String("checkpoint-dir", "", "make running jobs durable: write resumable search checkpoints (keyed by cache key) here on drain/timeout aborts, and resume them on resubmission — also after a restart")
 		ckptEvery    = flag.Duration("checkpoint-every", 0, "additionally checkpoint running jobs at this cadence (0 = abort-time only; requires -checkpoint-dir)")
-		warmStart    = flag.Bool("warm-start", false, "keep the final checkpoints of searches that found their goal and replay their witnesses on nearby models, searching cold when none replays (requires -checkpoint-dir)")
-		tenantQuota  = flag.Int("tenant-quota", 0, "per-tenant queued-job quota (0 = the -queue depth); tenancy from the X-Tenant header")
+		warmStart    = flag.Bool("warm-start", false, "keep the witness path of every search that found its goal as a final checkpoint and replay these witnesses on nearby models, searching cold when none replays (requires -checkpoint-dir)")
 		tenantWeight = flag.String("tenant-weights", "", "weighted-fair shares as tenant=weight,... (absent tenants weigh 1)")
 		ckptGCAge    = flag.Duration("checkpoint-gc-age", 24*time.Hour, "delete checkpoint files older than this")
 		ckptGCMax    = flag.Int("checkpoint-gc-max", 1024, "keep at most this many checkpoint files")
@@ -88,7 +87,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:           *workers,
 		QueueDepth:        *queueDepth,
-		TenantQuota:       *tenantQuota,
 		TenantWeights:     weights,
 		JobTimeout:        *jobTimeout,
 		SnapshotEvery:     *snapshot,

@@ -110,7 +110,8 @@ func TestCaptureStateMatchesReference(t *testing.T) {
 			q := liveSearch(t, c.sys, c.goal, c.opts)
 			front, prios := q.front.state()
 			st := q.w0.counters.snapshot()
-			got, err := captureState(q.store, front, prios, st)
+			cs := q.store.(localStore)
+			got, err := captureState(cs.forEachNode, cs.stats().count, front, prios, st)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,13 +48,15 @@ type CheckpointOptions struct {
 	ModelSHA string
 	// KeepFinal writes (and keeps) a final snapshot when the search finds
 	// its goal, instead of removing the file; a run that completes without
-	// finding it removes the file as usual, since its snapshot holds no
-	// goal state to replay. The artifact is a warm-start seed for
+	// finding it removes the file as usual, since it has no goal state to
+	// replay. The snapshot is the witness path alone, whether the run
+	// searched or replayed a warm-start seed's witness: the nodes from the
+	// initial state to the goal with their parent, depth and transition,
+	// the goal its one store entry and the only node carrying a state, no
+	// frontier and no search statistics. It is a warm-start seed for
 	// nearly-identical later queries (Options.WarmStart), not a resume
-	// point: it is stamped Final and the resume path refuses it — a
-	// completed search's frontier would resume to a wrong verdict (the
-	// found state's zone already subsumes frontier descendants that
-	// re-reach it, so the goal check could never fire).
+	// point: it is stamped Final and the resume path refuses it, since a
+	// search resumed from a frontierless path would end negative.
 	KeepFinal bool
 	// Meta is an opaque advisory label stamped into the checkpoint header
 	// (snapshot.Header.Meta). The serving layer records the cache-key kind
@@ -87,10 +89,6 @@ type checkpointer struct {
 	writeTime   time.Duration
 	resumeTime  time.Duration
 	baseElapsed time.Duration // search time accumulated before the resume
-
-	// final marks the next write as a KeepFinal end-of-search snapshot; the
-	// run epilogue sets it right before its completion-time save.
-	final bool
 }
 
 // newCheckpointer returns nil when checkpointing is disabled. opts must
@@ -144,7 +142,6 @@ func (ck *checkpointer) write(cp *snapshot.Checkpoint) error {
 	cp.ModelSHA = ck.opts.Checkpoint.ModelSHA
 	cp.Options = ck.canon
 	cp.Meta = ck.opts.Checkpoint.Meta
-	cp.Final = ck.final
 	err := snapshot.Write(ck.opts.Checkpoint.Path, cp)
 	ck.writeTime += time.Since(t0)
 	if err != nil {
@@ -211,24 +208,22 @@ func withoutLimits(canon []byte) []byte {
 	return b
 }
 
-// captureState assembles a Checkpoint from a quiesced search: every store
-// entry in the store's deterministic order, the frontier in pop-structure
-// order, the ancestor chains both need for trace reconstruction, and the
-// cumulative counters. The caller owns identity stamping (see write).
+// captureState assembles a Checkpoint from a quiesced search: the count
+// store entries that forEach visits, in its order, the frontier in
+// pop-structure order, the ancestor chains both need for trace
+// reconstruction, and the cumulative counters. A search's checkpoint
+// visits its whole store (localStore.forEachNode); a kept-final snapshot
+// visits just the found node, with no frontier. The caller owns identity
+// stamping (see write).
 //
 // It works in two passes so that nothing grows by appending. The first
-// assigns node indices: store entries in forEachNode order, each preceded
+// assigns node indices: store entries in visiting order, each preceded
 // by its unseen ancestors root-first, then the frontier's. The second
 // allocates the node table at its exact size and fills it, carving every
 // captured zone's bounds or constraints from one array per form.
-func captureState(store stateStore, frontNodes []*node, prios []int64, st snapshot.Stats) (*snapshot.Checkpoint, error) {
-	cs, ok := store.(localStore)
-	if !ok {
-		return nil, fmt.Errorf("mc: store kind %T is not checkpointable", store)
-	}
-	ss := store.stats()
-	index := make(map[*node]int32, ss.count)
-	order := make([]*node, 0, ss.count)
+func captureState(forEach func(fn func(n *node)), count int, frontNodes []*node, prios []int64, st snapshot.Stats) (*snapshot.Checkpoint, error) {
+	index := make(map[*node]int32, count)
+	order := make([]*node, 0, count)
 	var chain []*node
 	// add indexes n and any unseen ancestors (root-first, iteratively — DFS
 	// parent chains can be thousands deep) and returns n's index.
@@ -249,8 +244,8 @@ func captureState(store stateStore, frontNodes []*node, prios []int64, st snapsh
 		}
 		return index[n]
 	}
-	cp := &snapshot.Checkpoint{Stats: st, Store: make([]int32, 0, ss.count)}
-	cs.forEachNode(func(n *node) { cp.Store = append(cp.Store, add(n)) })
+	cp := &snapshot.Checkpoint{Stats: st, Store: make([]int32, 0, count)}
+	forEach(func(n *node) { cp.Store = append(cp.Store, add(n)) })
 	if len(frontNodes) > 0 { // a finished search's empty frontier stays nil
 		cp.Frontier = make([]snapshot.FrontierEntry, len(frontNodes))
 	}
@@ -404,8 +399,7 @@ func seedFromCheckpoint(cp *snapshot.Checkpoint, store stateStore, compact bool)
 
 // treeOf rebuilds a checkpoint's search tree: one node per saved node,
 // with its depth, transition and parent link, but no state. The nodes are
-// carved from one array. Decode has checked every index; a warm start also
-// screens its replay candidates' chains.
+// carved from one array. Decode has checked every index.
 func treeOf(cp *snapshot.Checkpoint) []*node {
 	slab := make([]node, len(cp.Nodes))
 	nodes := make([]*node, len(cp.Nodes))
@@ -415,15 +409,20 @@ func treeOf(cp *snapshot.Checkpoint) []*node {
 	for i, n := range nodes {
 		sn := &cp.Nodes[i]
 		n.depth = int(sn.Depth)
-		n.via = Transition{
-			Chan: int(sn.Via[0]), A1: int(sn.Via[1]), E1: int(sn.Via[2]),
-			A2: int(sn.Via[3]), E2: int(sn.Via[4]),
-		}
+		n.via = viaOf(sn)
 		if sn.Parent >= 0 {
 			n.parent = nodes[sn.Parent]
 		}
 	}
 	return nodes
+}
+
+// viaOf is the transition that led to a saved node.
+func viaOf(sn *snapshot.Node) Transition {
+	return Transition{
+		Chan: int(sn.Via[0]), A1: int(sn.Via[1]), E1: int(sn.Via[2]),
+		A2: int(sn.Via[3]), E2: int(sn.Via[4]),
+	}
 }
 
 // resume loads, validates, and seeds a checkpoint, updating the
@@ -453,13 +452,17 @@ func (ck *checkpointer) resume(store stateStore) (*resumedState, error) {
 // store, the frontier nodes in pop-structure order (prios only for the
 // BestTime heap), and the cumulative counters k.
 func (s *search) checkpoint(front []*node, prios []int64, k *counters) error {
-	ck := s.ck
+	cs, ok := s.store.(localStore)
+	if !ok {
+		return fmt.Errorf("mc: store kind %T is not checkpointable", s.store)
+	}
+	ck, ss := s.ck, cs.stats()
 	st := k.snapshot()
-	st.Evictions = s.store.stats().evictions
+	st.Evictions = ss.evictions
 	st.DurationNS = int64(ck.baseElapsed + time.Since(s.start))
 	st.CheckpointWrites = int64(ck.writes)
 	st.CheckpointNS = int64(ck.writeTime)
-	cp, err := captureState(s.store, front, prios, st)
+	cp, err := captureState(cs.forEachNode, ss.count, front, prios, st)
 	if err != nil {
 		return err
 	}

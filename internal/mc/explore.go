@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"guidedta/internal/expr"
+	"guidedta/internal/snapshot"
 	"guidedta/internal/ta"
 )
 
@@ -109,8 +110,8 @@ type searchLoop interface {
 	// restore queues a resumed frontier as saved and takes over the
 	// checkpoint's cumulative counters.
 	restore(rs *resumedState)
-	// queue pushes fresh nodes, still holding their matrices: a warm
-	// start's replayed path, or the initial state.
+	// queue pushes fresh nodes, still holding their matrices: the
+	// initial state.
 	queue(ns []*node)
 	// run searches until the frontier is exhausted, a goal is found, or a
 	// limit trips.
@@ -181,16 +182,13 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 	} else {
 		if en.opts.WarmStart.enabled() && !goal.Deadlock {
 			// Warm start: replay the seed's goal states on this model,
-			// rooted at init, and keep just the path of the first that
-			// replays. When none does, the run goes on as a cold one.
-			if ws := loadWarmSeed(en); ws != nil {
-				found, replays = ws.replay(c, init, goal)
-			}
+			// rooted at init. The first that replays is the answer, and
+			// the run stores and queues nothing; when none does, the run
+			// goes on as a cold one.
+			found, replays = c.warmReplay(init, goal)
+			res.WarmStarted = found != nil
 		}
-		if found != nil {
-			res.WarmStarted = true
-			d.queue(c.keepPath(s.store, found))
-		} else {
+		if found == nil {
 			// The store is empty, so it keeps init. Borrow the kernel's
 			// successor buffer, which the first expansion would allocate
 			// anyway: the loops copy what they queue.
@@ -222,27 +220,34 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 		res.Trace = traceOf(found)
 	}
 	if ck := s.ck; ck != nil {
-		// Only a found goal is worth keeping: a negative run's snapshot
-		// holds no goal state a later warm start could replay.
-		keep := en.opts.Checkpoint.KeepFinal && found != nil
-		if res.Abort != AbortNone || keep {
+		switch {
+		case res.Abort != AbortNone:
 			// Abort-time durability: timeouts, cancellations (a serve
-			// drain), and state/memory cutoffs leave a resumable file. A
-			// search that found its goal with KeepFinal instead stamps its
-			// snapshot Final: useless for resume (load refuses Final
-			// files) but exactly what a later warm start of a nearby model
-			// wants to replay from.
-			ck.final = res.Abort == AbortNone
+			// drain), and state/memory cutoffs leave a resumable file of
+			// the whole store and frontier.
 			if err := d.save(); err != nil {
 				return res, err
 			}
-		}
-		ck.stamp(st)
-		if res.Abort == AbortNone && !keep {
+		case found != nil && en.opts.Checkpoint.KeepFinal:
+			// A found goal is kept as its witness path, root to goal, with
+			// the goal the one stored state: all a later warm start of a
+			// nearby model replays. It is stamped Final, which resume
+			// refuses.
+			cp, err := captureState(func(fn func(*node)) { fn(found) }, 1, nil, nil, snapshot.Stats{})
+			if err != nil {
+				return res, err
+			}
+			cp.Final = true
+			if err := ck.write(cp); err != nil {
+				return res, err
+			}
+		default:
 			// The search has its answer; a stale checkpoint must not seed a
-			// later run.
+			// later run. A negative run keeps nothing: it holds no goal
+			// state to replay.
 			ck.finish()
 		}
+		ck.stamp(st)
 	}
 	return res, nil
 }

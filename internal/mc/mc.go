@@ -270,8 +270,9 @@ type Result struct {
 	Resumed bool
 	// WarmStarted reports that the search was answered by a replayed
 	// warm-start witness: one of the Options.WarmStart seed's goal states
-	// replayed on this model from its initial state. It is never set on a
-	// negative — a warm start that replays nothing is a cold search.
+	// replayed on this model from its initial state; such a run explores
+	// and stores nothing. It is never set on a negative — a warm start
+	// that replays nothing is a cold search.
 	WarmStarted bool
 }
 

@@ -67,17 +67,62 @@ func keepFinalCheckpoint(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Opt
 	return path, res
 }
 
-// keptPathOnly asserts that the kept-final checkpoint at path holds at
-// most len(trace)+1 store entries: an instant witness keeps only its
-// replayed path, whatever the seed held.
+// keptPathOnly asserts that the kept-final checkpoint at path is the
+// run's witness path: len(trace)+1 nodes, root to goal, whose one store
+// entry, the goal, is the only node carrying state, and no frontier —
+// whether the run searched or replayed, and whatever its seed held.
 func keptPathOnly(t *testing.T, path string, trace []mc.Transition) {
 	t.Helper()
 	cp, err := snapshot.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Store) > len(trace)+1 {
-		t.Fatalf("instant run kept %d store entries, want at most %d (its path)", len(cp.Store), len(trace)+1)
+	if !cp.Final || len(cp.Store) != 1 || len(cp.Nodes) != len(trace)+1 || len(cp.Frontier) != 0 {
+		t.Fatalf("kept snapshot: final %v, %d store entries, %d nodes, %d waiting; want a final file of 1, %d (its path), 0",
+			cp.Final, len(cp.Store), len(cp.Nodes), len(cp.Frontier), len(trace)+1)
+	}
+	for ix := range cp.Nodes {
+		if cp.Nodes[ix].HasState != (int32(ix) == cp.Store[0]) {
+			t.Fatalf("kept node %d: HasState %v, but only the goal, node %d, carries state", ix, cp.Nodes[ix].HasState, cp.Store[0])
+		}
+	}
+	goal := cp.Store[0]
+	for ix, d := goal, len(trace); ; ix, d = cp.Nodes[ix].Parent, d-1 {
+		sn := &cp.Nodes[ix]
+		if int(sn.Depth) != d {
+			t.Fatalf("kept node %d at depth %d, want %d", ix, sn.Depth, d)
+		}
+		if d == 0 {
+			if sn.Parent >= 0 {
+				t.Fatalf("kept root %d has parent %d", ix, sn.Parent)
+			}
+			break
+		}
+		v := trace[d-1]
+		if sn.Via != [5]int32{int32(v.Chan), int32(v.A1), int32(v.E1), int32(v.A2), int32(v.E2)} {
+			t.Fatalf("kept node %d came by %v, the trace's step %d is %v", ix, sn.Via, d, v)
+		}
+	}
+}
+
+// TestKeepFinalKeepsWitnessPath: a run that finds its goal by searching,
+// sequentially or in parallel and with either store, keeps its witness
+// path, not its store and frontier.
+func TestKeepFinalKeepsWitnessPath(t *testing.T) {
+	for _, order := range []mc.SearchOrder{mc.BFS, mc.DFS} {
+		for _, workers := range []int{1, 4} {
+			for _, compact := range []bool{false, true} {
+				sys, goal := fischerModel(t, 4, false)
+				opts := mc.DefaultOptions(order)
+				opts.Workers, opts.Compact = workers, compact
+				path, res := keepFinalCheckpoint(t, sys, goal, opts)
+				if !res.Found || res.Stats.StatesStored <= len(res.Trace)+1 {
+					t.Fatalf("%v/%d/compact=%v: found %v, stored %d; want a search of more than its path",
+						order, workers, compact, res.Found, res.Stats.StatesStored)
+				}
+				keptPathOnly(t, path, res.Trace)
+			}
+		}
 	}
 }
 
@@ -283,7 +328,10 @@ func stateLimitSeed(t *testing.T, sys *ta.System, goal mc.Goal, opts mc.Options,
 // the relaxed deadline 10, and a broken Fischer whose violations the
 // correct protocol cannot replay. Stale states of the middle two, taken
 // into the store, would lead a search to a goal this model does not have;
-// their verdicts must equal the cold ones, which are negative.
+// their verdicts must equal the cold ones, which are negative. The last
+// two are the run's own model's kept path with a corrupt chain — its goal
+// a depth off its parent's, or its root's parent the goal — which Decode
+// accepts: they must be screened out, not replayed (nor walked forever).
 func TestWarmStartNoReplayRunsCold(t *testing.T) {
 	type model func(testing.TB) (*ta.System, mc.Goal)
 	fischer4 := func(inv bool) model {
@@ -302,6 +350,22 @@ func TestWarmStartNoReplayRunsCold(t *testing.T) {
 		return func(t *testing.T) string {
 			sys, goal := m(t)
 			path, _ := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
+			return path
+		}
+	}
+	// corrupt keeps m's final snapshot with its goal node, the one store
+	// entry, mutated: a seed that would replay but for the damage.
+	corrupt := func(m model, mutate func(cp *snapshot.Checkpoint, goal int32)) func(*testing.T) string {
+		return func(t *testing.T) string {
+			path := keptFinal(m)(t)
+			cp, err := snapshot.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(cp, cp.Store[0])
+			if err := snapshot.Write(path, cp); err != nil {
+				t.Fatal(err)
+			}
 			return path
 		}
 	}
@@ -326,6 +390,16 @@ func TestWarmStartNoReplayRunsCold(t *testing.T) {
 		{"stale-integer", stateLimit(seq(1)), seq(2), false, false},
 		{"relaxed-deadlock", stateLimit(deadline(3)), deadline(10), false, false},
 		{"correct-fischer", keptFinal(fischer4(false)), fischer4(true), false, true},
+		{"depth-off-by-one", corrupt(fischerK(4), func(cp *snapshot.Checkpoint, goal int32) {
+			cp.Nodes[goal].Depth++
+		}), fischerK(4), true, false},
+		{"parent-cycle", corrupt(fischerK(4), func(cp *snapshot.Checkpoint, goal int32) {
+			root := goal
+			for cp.Nodes[root].Parent >= 0 {
+				root = cp.Nodes[root].Parent
+			}
+			cp.Nodes[root].Parent = goal
+		}), fischerK(4), true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -152,7 +152,7 @@ func postJobTenant(t *testing.T, ts *httptest.Server, tenant, body string, wait 
 // TestTenantQuota429 drives the per-tenant quota through HTTP: a tenant
 // at quota gets 429 naming the tenant; other tenants still admit.
 func TestTenantQuota429(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 64, TenantQuota: 1})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Occupy the worker so later submissions stay queued.
 	_, running := postJob(t, ts, submitBody(fischerSrc(8, 2), `{"search": "dfs"}`), false)
 	pollUntil(t, 5*time.Second, "first job to occupy the worker", func() bool {
@@ -403,79 +403,83 @@ func TestWarmStartServe(t *testing.T) {
 	}
 }
 
-// keptTrace reads a plant job's kept-final snapshot back: the trace of its
-// one goal state among the store entries, and the store's size.
-func keptTrace(t *testing.T, path string, goal mc.Goal) (trace []mc.Transition, stored int) {
+// keptTrace reads a plant job's kept-final snapshot back and returns its
+// witness, failing the test unless the file is exactly that path: one
+// stored state, a goal state, and its ancestor chain, trace length plus
+// one nodes.
+func keptTrace(t *testing.T, path string, goal mc.Goal) []mc.Transition {
 	t.Helper()
 	cp, err := snapshot.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit := int32(-1)
-	for _, ix := range cp.Store {
-		if sn := &cp.Nodes[ix]; goal.Satisfied(sn.Locs, sn.Env) {
-			if hit >= 0 {
-				t.Fatalf("%s holds two goal states", filepath.Base(path))
-			}
-			hit = ix
-		}
+	if len(cp.Store) != 1 {
+		t.Fatalf("%s holds %d states, want 1 (its witness path's goal)", filepath.Base(path), len(cp.Store))
 	}
-	if hit < 0 {
+	hit := cp.Store[0]
+	if sn := &cp.Nodes[hit]; !goal.Satisfied(sn.Locs, sn.Env) {
 		t.Fatalf("%s holds no goal state", filepath.Base(path))
 	}
-	trace = make([]mc.Transition, cp.Nodes[hit].Depth)
+	trace := make([]mc.Transition, cp.Nodes[hit].Depth)
 	for ix := hit; cp.Nodes[ix].Parent >= 0; ix = cp.Nodes[ix].Parent {
 		v := cp.Nodes[ix].Via
 		trace[cp.Nodes[ix].Depth-1] = mc.Transition{Chan: int(v[0]), A1: int(v[1]), E1: int(v[2]), A2: int(v[3]), E2: int(v[4])}
 	}
-	return trace, len(cp.Store)
+	if len(cp.Nodes) != len(trace)+1 {
+		t.Fatalf("%s holds %d nodes, want %d (its witness path)", filepath.Base(path), len(cp.Nodes), len(trace)+1)
+	}
+	return trace
 }
 
-// TestWarmDriftChainKeepsPaths streams a chain of treatment drifts of the
-// 3-batch plant into one warm-start server, each job seeded from the
-// newest kept snapshot, its predecessor's. After the cold first job every
-// job must warm-start by replaying its seed's witness, and keep a
-// snapshot of at most its trace length plus one states, so the chain
-// does not grow. Each job's witness, read back from its snapshot, must
-// have the reported length and replay on the unguided plant.
+// TestWarmDriftChainKeepsPaths streams a chain of drifts of the 3-batch
+// plant into one warm-start server, each job seeded from the newest kept
+// snapshot, its predecessor's. Treatment drifts and deadline shifts
+// alternate, so some jobs replay their seed's witness (explored 0) and
+// some search: a tighter deadline's seed witness misses it, and so does
+// the deadline-56 witness the (4,4) treatment drift is seeded from.
+// Every job, searched or replayed, must keep a snapshot of
+// exactly its witness path, so the chain's files do not grow. Each job's
+// witness, read back from its snapshot, must have the reported length
+// and replay on the unguided plant.
 func TestWarmDriftChainKeepsPaths(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
-	drifts := [][2]int32{{4, 6}, {5, 7}, {3, 5}, {6, 8}, {7, 9}, {8, 10}, {5, 4}, {3, 9}, {8, 6}, {4, 10}, {6, 5}}
-	for i, d := range drifts {
-		pr := &PlantRequest{Batches: 3, Params: &ParamsRequest{TreatA: &d[0], TreatB: &d[1]}}
+	treat := func(a, b int32) *ParamsRequest { return &ParamsRequest{TreatA: &a, TreatB: &b} }
+	deadline := func(d int32) *ParamsRequest { return &ParamsRequest{Deadline: &d} }
+	steps := []struct {
+		params *ParamsRequest
+		warm   bool // answered by its seed's replayed witness
+	}{
+		{treat(4, 6), false}, {treat(5, 7), true}, {deadline(56), false}, {treat(4, 4), false},
+		{treat(6, 8), true}, {deadline(62), false}, {treat(3, 5), true}, {deadline(58), false},
+		{treat(8, 10), true}, {treat(5, 4), true},
+	}
+	for i, step := range steps {
+		pr := &PlantRequest{Batches: 3, Params: step.params}
 		body, err := json.Marshal(SubmitRequest{Plant: pr, Resynthesis: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		code, jj := postJob(t, ts, string(body), true)
 		if code != http.StatusOK || jj.State != JobDone || jj.Schedule == nil || jj.Report == nil {
-			t.Fatalf("drift %d %v: status %d state %q (%s)", i, d, code, jj.State, jj.Error)
+			t.Fatalf("step %d %s: status %d state %q (%s)", i, body, code, jj.State, jj.Error)
 		}
-		if i > 0 {
-			if jj.WarmStartedFrom == "" {
-				t.Fatalf("drift %d %v did not warm-start", i, d)
-			}
-			if st := jj.Report.Stats; st.WarmReplays == 0 || st.StatesExplored != 0 {
-				t.Errorf("drift %d %v: replays %d, explored %d; want an instant witness",
-					i, d, st.WarmReplays, st.StatesExplored)
-			}
+		st := jj.Report.Stats
+		if warm := jj.WarmStartedFrom != ""; warm != step.warm || warm != (st.StatesExplored == 0) {
+			t.Errorf("step %d %s: warm-started from %q, replays %d, explored %d; want warm %v",
+				i, body, jj.WarmStartedFrom, st.WarmReplays, st.StatesExplored, step.warm)
 		}
-		trace, stored := checkKeptUnguided(t, pr, filepath.Join(dir, jj.Key+".ckpt"))
+		trace := checkKeptUnguided(t, pr, filepath.Join(dir, jj.Key+".ckpt"))
 		if len(trace) != jj.Report.Result.TraceLen {
-			t.Fatalf("drift %d %v: kept witness has %d steps, the job reported %d", i, d, len(trace), jj.Report.Result.TraceLen)
-		}
-		if i > 0 && stored > len(trace)+1 {
-			t.Errorf("drift %d %v: kept snapshot holds %d states, want at most %d (its path)", i, d, stored, len(trace)+1)
+			t.Fatalf("step %d %s: kept witness has %d steps, the job reported %d", i, body, len(trace), jj.Report.Result.TraceLen)
 		}
 	}
 }
 
 // checkKeptUnguided reads the witness a plant job kept in its final
-// snapshot and fails the test unless it replays, mapped onto the unguided
-// plant, under mc.CheckTrace. It returns the witness and the snapshot's
-// store size.
-func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) (trace []mc.Transition, stored int) {
+// snapshot (see keptTrace) and fails the test unless it replays, mapped
+// onto the unguided plant, under mc.CheckTrace.
+func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) []mc.Transition {
 	t.Helper()
 	cfg, err := pr.resolve()
 	if err != nil {
@@ -485,7 +489,7 @@ func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) (trace []mc.
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, stored = keptTrace(t, ckpt, guided.Goal)
+	trace := keptTrace(t, ckpt, guided.Goal)
 	cfg.Guides = plant.NoGuides
 	unguided, err := plant.Build(cfg)
 	if err != nil {
@@ -498,7 +502,7 @@ func checkKeptUnguided(t *testing.T, pr *PlantRequest, ckpt string) (trace []mc.
 	if err := mc.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
 		t.Fatalf("%s: schedule fails the unguided replay: %v", filepath.Base(ckpt), err)
 	}
-	return trace, stored
+	return trace
 }
 
 // TestWarmNoReplayRunsCold: on one warm-start server, a treatment drift

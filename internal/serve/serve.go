@@ -56,17 +56,13 @@ type Config struct {
 	// Each worker runs one job at a time; a job's own mc.Options.Workers
 	// parallelism nests inside it.
 	Workers int
-	// QueueDepth bounds the admission queue (default 64). A POST that
-	// finds the queue full is rejected with 429 and a Retry-After header
-	// instead of queueing unboundedly. With multi-tenant admission the
-	// bound is per tenant: QueueDepth is the default per-tenant quota
-	// (see TenantQuota), so one flooding tenant's 429s never ration
-	// another tenant's headroom.
+	// QueueDepth bounds each tenant's admission queue (default 64). A
+	// POST that finds its tenant's queue full is rejected with 429 and a
+	// Retry-After header instead of queueing unboundedly; since the bound
+	// is per tenant, one flooding tenant's 429s never ration another
+	// tenant's headroom. Tenancy comes from the X-Tenant request header;
+	// requests without one share the default tenant "".
 	QueueDepth int
-	// TenantQuota overrides the per-tenant queued-execution quota
-	// (default QueueDepth). Tenancy comes from the X-Tenant request
-	// header; requests without one share the default tenant "".
-	TenantQuota int
 	// TenantWeights gives named tenants a weighted-fair share of the
 	// worker pool: a tenant with weight w is offered w queue slots per
 	// round-robin round. Absent tenants (and the default tenant) weigh 1.
@@ -99,14 +95,15 @@ type Config struct {
 	// cadence while a job runs (0 = abort-time checkpoints only), bounding
 	// the work lost to a hard kill rather than a clean drain.
 	CheckpointEvery time.Duration
-	// WarmStart (requires CheckpointDir) keeps the final snapshot of every
-	// search that found its goal and answers later queries of nearby
-	// models from them: a query whose plant kind and options match a kept
-	// snapshot but whose model hash differs (a re-synthesis after a
-	// disturbance) first replays the prior run's witness on the new
-	// model, and when that fails the same search goes on cold. A run
-	// answered by a replayed witness keeps just that path as its own
-	// snapshot, so a chain of such re-syntheses does not grow. Every
+	// WarmStart (requires CheckpointDir) keeps the witness path of every
+	// search that found its goal as a final snapshot and answers later
+	// queries of nearby models from them: a query whose plant kind and
+	// options match a kept snapshot but whose model hash differs (a
+	// re-synthesis after a disturbance) first replays the prior run's
+	// witness on the new model, and when that fails the same search goes
+	// on cold. Whether a run searched or replayed, its snapshot is one
+	// witness path (see mc.CheckpointOptions KeepFinal), so the kept files
+	// stay small and a chain of re-syntheses does not grow them. Every
 	// reported witness is replayed from the new model's initial state and
 	// nothing else of the seed is used (see mc.WarmStartOptions), so warm
 	// starts can change latency but never answers.
@@ -144,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 4096
-	}
-	if c.TenantQuota <= 0 {
-		c.TenantQuota = c.QueueDepth
 	}
 	if c.CheckpointGCAge <= 0 {
 		c.CheckpointGCAge = 24 * time.Hour
@@ -208,7 +202,7 @@ func New(cfg Config) *Server {
 		jobs:    newRegistry(cfg.MaxJobs),
 		workers: make([]workerState, cfg.Workers),
 	}
-	s.queue = newQueue(cfg.TenantQuota, cfg.TenantWeights)
+	s.queue = newQueue(cfg.QueueDepth, cfg.TenantWeights)
 	if cfg.CheckpointDir != "" {
 		s.gcCheckpoints()
 		if cfg.WarmStart {
@@ -393,8 +387,10 @@ func (s *Server) buildExecution(req *SubmitRequest) (*execution, error) {
 		return nil, err
 	}
 	if ex.isPlant && opts.Search == mc.BestTime {
-		// Same wiring as cmd/plantsynth: best-first time order needs
-		// the plant's global clock and a horizon it stays observable to.
+		// Best-first time order needs the plant's global clock and a
+		// horizon it stays observable to (core.SynthesizePlant applies
+		// the same defaults); they are set here, before the cache key is
+		// taken, so the key covers them.
 		opts.TimeClock = res.timeClock
 		opts.TimeHorizon = ex.plantCfg.TimeHorizon()
 	}
@@ -547,8 +543,8 @@ func (s *Server) execute(ex *execution) *outcome {
 			if hdr, err := snapshot.ReadHeader(ckptPath); err == nil && hdr.Final {
 				// The exact key already has a final snapshot (a run that
 				// found its goal, e.g. before a restart emptied the result
-				// cache). Resume would refuse it — a final checkpoint's
-				// frontier must not be replayed exactly (see
+				// cache). Resume would refuse it — a final checkpoint is a
+				// witness path with no frontier to resume (see
 				// mc.CheckpointOptions KeepFinal) — so warm-start from it
 				// instead: its witness replays.
 				opts.Checkpoint.Resume = false

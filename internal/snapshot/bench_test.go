@@ -10,9 +10,12 @@ import (
 	"guidedta/internal/snapshot"
 )
 
-// plantCheckpoint returns the kept-final checkpoint of the 3-batch
-// all-guides DFS plant synthesis, the snapshot a re-synthesis server
-// writes and later warm-starts nearby plants from.
+// plantCheckpoint returns the abort-time checkpoint of the 3-batch
+// all-guides DFS plant synthesis stopped at 274 explored states, one
+// short of its goal: a whole passed store and frontier of about 31.7 KB,
+// the file a drained or timed-out server job leaves and resumes from. (A
+// kept-final checkpoint of the same run is just its 155-step witness
+// path, 2 KB.)
 func plantCheckpoint(b *testing.B) (string, []byte) {
 	b.Helper()
 	p, err := plant.Build(plant.Config{Qualities: plant.CycleQualities(3), Guides: plant.AllGuides})
@@ -22,9 +25,14 @@ func plantCheckpoint(b *testing.B) (string, []byte) {
 	path := filepath.Join(b.TempDir(), "plant.ckpt")
 	opts := mc.DefaultOptions(mc.DFS)
 	opts.Observer = &mc.FuncObserver{Priority: p.Priority}
-	opts.Checkpoint = mc.CheckpointOptions{Path: path, KeepFinal: true}
-	if _, err := mc.Explore(p.Sys, p.Goal, opts); err != nil {
+	opts.MaxStates = 274
+	opts.Checkpoint = mc.CheckpointOptions{Path: path}
+	res, err := mc.Explore(p.Sys, p.Goal, opts)
+	if err != nil {
 		b.Fatal(err)
+	}
+	if res.Abort != mc.AbortStates {
+		b.Fatalf("plant run ended %q (found %v), want a state-limit abort", res.Abort, res.Found)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -34,9 +42,9 @@ func plantCheckpoint(b *testing.B) (string, []byte) {
 }
 
 // BenchmarkCheckpointCodec times each half of the checkpoint round trip on
-// a plant checkpoint: Encode and Write on the save side, Decode and Load
-// on the warm-start side. Run with -benchmem; the allocations are the
-// point.
+// a whole-store plant checkpoint: Encode and Write on the save side,
+// Decode and Load on the resume side. Run with -benchmem; the allocations
+// are the point.
 func BenchmarkCheckpointCodec(b *testing.B) {
 	path, data := plantCheckpoint(b)
 	cp, err := snapshot.Decode(data)
