@@ -268,7 +268,7 @@ func runCase(e suiteEntry, workers, repeat int, watch, progress bool) (benchCase
 			// benchmark runs stay observer-free so the tracked numbers
 			// measure the search, not its instrumentation.
 			opts.SnapshotEvery = 500 * time.Millisecond
-			obs := []mc.Observer{&mc.FuncObserver{OnSnapshot: latestSnapshot.set}}
+			obs := []*mc.FuncObserver{{OnSnapshot: latestSnapshot.set}}
 			if progress {
 				obs = append(obs, cliutil.ProgressObserver(os.Stderr, "mcbench "+e.name))
 			}

@@ -182,7 +182,7 @@ func runCell(ctx context.Context, sf *cliutil.SearchFlags, rep *cliutil.Report, 
 		}
 	}
 	opts.Observer = &mc.FuncObserver{Priority: p.Priority}
-	var obs []mc.Observer
+	var obs []*mc.FuncObserver
 	if sf.Progress {
 		obs = append(obs, cliutil.ProgressObserver(os.Stderr, fmt.Sprintf("table1 %d/%v/%v", n, g, s)))
 	}

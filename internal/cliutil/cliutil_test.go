@@ -224,8 +224,8 @@ func TestReportFileAgainstSchema(t *testing.T) {
 func TestProgressObserver(t *testing.T) {
 	var buf bytes.Buffer
 	obs := ProgressObserver(&buf, "testtool")
-	obs.Snapshot(mc.Snapshot{Elapsed: time.Second, StatesExplored: 123456, StatesPerSec: 4567, Waiting: 89, MemBytes: 5 << 20})
-	obs.Snapshot(mc.Snapshot{Elapsed: 2 * time.Second, StatesExplored: 250000, Final: true})
+	obs.OnSnapshot(mc.Snapshot{Elapsed: time.Second, StatesExplored: 123456, StatesPerSec: 4567, Waiting: 89, MemBytes: 5 << 20})
+	obs.OnSnapshot(mc.Snapshot{Elapsed: 2 * time.Second, StatesExplored: 250000, Final: true})
 	out := buf.String()
 	if !strings.Contains(out, "testtool") || !strings.Contains(out, "123.5k") {
 		t.Errorf("progress line missing content: %q", out)
@@ -236,7 +236,7 @@ func TestProgressObserver(t *testing.T) {
 	if strings.Count(out, "\r") != 2 {
 		t.Errorf("expected two carriage returns, got %q", out)
 	}
-	if v, d, s := obs.OnVisit, obs.OnDeadend, obs.OnSnapshot; v != nil || d != nil || s == nil {
+	if v, d, s := obs.OnVisit, obs.OnDone, obs.OnSnapshot; v != nil || d != nil || s == nil {
 		t.Error("progress observer should listen to snapshots only")
 	}
 }
@@ -262,7 +262,7 @@ func TestInstrument(t *testing.T) {
 	if opts.SnapshotEvery != time.Millisecond {
 		t.Errorf("SnapshotEvery = %v, want 1ms", opts.SnapshotEvery)
 	}
-	if mc.PriorityOf(opts.Observer) == nil {
+	if opts.Observer.Priority == nil {
 		t.Error("instrumenting dropped the caller's priority")
 	}
 	if _, err := mc.Explore(sys, goal, opts); err != nil {

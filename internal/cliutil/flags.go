@@ -155,7 +155,7 @@ func (f *SearchFlags) Instrument(tool, name string, opts *mc.Options, sys *ta.Sy
 			opts.Checkpoint.ModelSHA = sha
 		}
 	}
-	var obs []mc.Observer
+	var obs []*mc.FuncObserver
 	var rep *Report
 	if f.Progress {
 		obs = append(obs, ProgressObserver(os.Stderr, tool))

@@ -12,8 +12,7 @@ import (
 // ProgressObserver returns an observer rendering a live one-line status to
 // w (conventionally stderr) from each progress snapshot, rewriting the
 // line in place with \r and finishing it with a newline on the final
-// snapshot. It is exposed as a *mc.FuncObserver so the engine sees that
-// only snapshots are listened to and keeps per-state events free.
+// snapshot. Only OnSnapshot is set, so per-state events stay free.
 func ProgressObserver(w io.Writer, tool string) *mc.FuncObserver {
 	var mu sync.Mutex
 	prevLen := 0

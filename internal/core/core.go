@@ -70,7 +70,7 @@ func SynthesizePlant(ctx context.Context, p *plant.Plant, opts mc.Options, so sy
 			opts.TimeHorizon = p.Cfg.TimeHorizon()
 		}
 	}
-	if mc.PriorityOf(opts.Observer) == nil {
+	if opts.Observer == nil || opts.Observer.Priority == nil {
 		// The plant ships a search-order heuristic (explore deliveries
 		// before cast completions); callers may override it by passing an
 		// observer that carries its own priority. Any watching observer

@@ -111,7 +111,7 @@ type Options struct {
 	Progress func(Progress)
 	// Observer, when non-nil, additionally receives the oracle's periodic
 	// Snapshots of every probe (composed with the search's own observer).
-	Observer mc.Observer
+	Observer *mc.FuncObserver
 	// WarmStart, when non-nil, seeds the greedy climb with a prior
 	// winner's guide set (e.g. the best set a previous discovery run or a
 	// smaller instance produced): it is probed right after the baseline

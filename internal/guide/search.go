@@ -262,7 +262,7 @@ func (s *searcher) probe(gs plant.GuideSet) (*Evaluation, error) {
 	opts.Workers = 1 // sequential: deterministic effort counters
 	watermark := newWatermarkObserver(p)
 	opts.Observer = mc.Observers(
-		watermark,
+		&watermark.FuncObserver,
 		&mc.FuncObserver{Priority: p.Priority},
 		s.opt.Observer,
 	)

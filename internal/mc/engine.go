@@ -87,15 +87,10 @@ type engine struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Observer hooks resolved once: the observer itself, which per-state
-	// events it actually listens to (so unused events skip dispatch — and,
-	// in the parallel search, the serialization lock — entirely), and the
-	// successor-ordering heuristic it carries.
-	obs          Observer
-	wantVisit    bool
-	wantDeadend  bool
-	wantSnapshot bool
-	prio         func(t Transition) int
+	// obs is a copy of the run's observer (zero when none), so each hook
+	// is one field read: an event nobody listens to skips dispatch — and,
+	// in the parallel search, the serialization lock — entirely.
+	obs FuncObserver
 }
 
 // ctxAbort maps a finished context to its abort reason: a deadline
@@ -180,10 +175,10 @@ func newEngine(ctx context.Context, sys *ta.System, opts Options) (*engine, erro
 		maxConst: sys.MaxConstants(),
 		ctx:      ctx,
 		done:     ctx.Done(),
-		obs:      opts.Observer,
-		prio:     PriorityOf(opts.Observer),
 	}
-	en.wantVisit, en.wantDeadend, en.wantSnapshot = observerNeeds(opts.Observer)
+	if opts.Observer != nil {
+		en.obs = *opts.Observer
+	}
 	var hasDiag bool
 	en.lower, en.upper, hasDiag = sys.LUBounds()
 	en.useLU = !hasDiag && !opts.ClassicExtrapolation

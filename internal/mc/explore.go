@@ -31,9 +31,9 @@ func Explore(sys *ta.System, goal Goal, opts Options) (Result, error) {
 // AbortCanceled and statistics consistent with the work done so far.
 // Options.Timeout is sugar over the context: a non-zero Timeout wraps ctx
 // in context.WithTimeout and the expiry surfaces as AbortTimeout. When an
-// Observer is configured it receives per-state events, periodic Snapshots
-// (Options.SnapshotEvery), and — on every non-error return — a final Done
-// call with the Result.
+// Observer is configured it receives per-state visits, periodic Snapshots
+// (Options.SnapshotEvery), and — on every non-error return — a final
+// OnDone call with the Result.
 func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options) (res Result, err error) {
 	// Expression evaluation inside the search panics with *expr.RuntimeError
 	// on model-level faults (division by zero, array index out of range).
@@ -65,8 +65,8 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	if res, err = en.explore(goal); err != nil {
 		return res, err
 	}
-	if en.obs != nil {
-		en.obs.Done(res)
+	if done := en.obs.OnDone; done != nil {
+		done(res)
 	}
 	return res, nil
 }
@@ -93,7 +93,7 @@ type search struct {
 	// w0 is the prologue's worker, which the loop runs as its first.
 	w0 worker
 
-	// mu serializes the observer's per-state events, which are specified
+	// mu serializes the observer's per-state visits, which are specified
 	// as serialized, and guards the parallel search's outcome.
 	mu sync.Mutex
 	// halt is raised once the parallel search has found a goal: from then
@@ -144,7 +144,7 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 	// and a sampler goroutine turns them into Snapshots. Without (the
 	// default) every publication is skipped behind one nil check.
 	if en.sampling() {
-		smp := startSampler(en.obs, en.opts.SnapshotEvery, s.start, d.snapshot)
+		smp := startSampler(en.obs.OnSnapshot, en.opts.SnapshotEvery, s.start, d.snapshot)
 		defer smp.stop()
 	}
 
@@ -232,7 +232,12 @@ func (en *engine) explore(goal Goal) (res Result, err error) {
 			// A found goal is kept as its witness path, root to goal, with
 			// the goal the one stored state: all a later warm start of a
 			// nearby model replays. It is stamped Final, which resume
-			// refuses.
+			// refuses. A replayed goal was never offered to the store, so
+			// it takes the store's zone form here: kept files are equal
+			// whichever way the goal was found.
+			if en.opts.Compact && found.czone == nil {
+				found.czone = found.zone.Minimal()
+			}
 			cp, err := captureState(func(fn func(*node)) { fn(found) }, 1, nil, nil, snapshot.Stats{})
 			if err != nil {
 				return res, err
@@ -279,7 +284,7 @@ func (s *search) shared() *search { return s }
 
 // sampling reports whether the observer asked for periodic snapshots.
 func (en *engine) sampling() bool {
-	return en.wantSnapshot && en.opts.SnapshotEvery > 0
+	return en.obs.OnSnapshot != nil && en.opts.SnapshotEvery > 0
 }
 
 func (s *search) newWorker(id int) worker {

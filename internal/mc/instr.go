@@ -7,7 +7,7 @@ import (
 
 // instr is the lock-light instrumentation core of the search loops: a
 // block of atomic counters the loops publish into and a sampling
-// goroutine reads from. It exists only while an Observer asked for
+// goroutine reads from. It exists only while an observer asked for
 // snapshots (Options.SnapshotEvery > 0) — with observability disabled the
 // loops skip every publication behind one nil check, so the instrumented
 // build costs an idle search nothing measurable.
@@ -77,12 +77,12 @@ func updateMax(peak *atomic.Int64, v int64) {
 	}
 }
 
-// sampler delivers periodic Snapshots to an Observer from its own
+// sampler delivers periodic Snapshots to an observer from its own
 // goroutine, computing the exploration rate between samples. stop joins
 // the goroutine and emits one final (Final=true) snapshot, so even a
 // search that finishes inside the first interval yields at least one.
 type sampler struct {
-	obs   Observer
+	emit  func(Snapshot)
 	read  func() Snapshot
 	start time.Time
 	every time.Duration
@@ -93,9 +93,9 @@ type sampler struct {
 	lastAt       time.Time
 }
 
-func startSampler(obs Observer, every time.Duration, start time.Time, read func() Snapshot) *sampler {
+func startSampler(emit func(Snapshot), every time.Duration, start time.Time, read func() Snapshot) *sampler {
 	s := &sampler{
-		obs:    obs,
+		emit:   emit,
 		read:   read,
 		start:  start,
 		every:  every,
@@ -116,7 +116,7 @@ func (s *sampler) loop() {
 		case <-s.quit:
 			return
 		case <-tick.C:
-			s.obs.Snapshot(s.take(false))
+			s.emit(s.take(false))
 		}
 	}
 }
@@ -149,5 +149,5 @@ func (s *sampler) take(final bool) Snapshot {
 func (s *sampler) stop() {
 	close(s.quit)
 	<-s.done
-	s.obs.Snapshot(s.take(true))
+	s.emit(s.take(true))
 }

@@ -157,9 +157,9 @@ func (w *worker) expand(n *node) (succ []*node, hit *node, expanded bool) {
 	if n.depth > w.maxDepth {
 		w.maxDepth = n.depth
 	}
-	if en.wantVisit {
+	if visit := en.obs.OnVisit; visit != nil {
 		s.mu.Lock()
-		en.obs.StateVisited(StateVisit{Locs: n.locs, Env: n.env, Depth: n.depth, Worker: w.id})
+		visit(StateVisit{Locs: n.locs, Env: n.env, Depth: n.depth, Worker: w.id})
 		s.mu.Unlock()
 	}
 	hadSucc := false
@@ -188,13 +188,13 @@ func (w *worker) expand(n *node) (succ []*node, hit *node, expanded bool) {
 		succ = append(succ, x)
 	})
 	w.succ = succ
-	// The plant's priority heuristic (Observer/Prioritizer) orders
+	// The plant's priority heuristic (FuncObserver.Priority) orders
 	// successor exploration so that higher-priority transitions are
 	// explored first: DFS pops the last push, BFS the first. BSH keeps its
 	// historical yield order (priorities were never applied to the
 	// supertrace search and reordering would change which states its
 	// lossy table prunes).
-	if prio := en.prio; prio != nil && en.opts.Search != BSH && len(succ) > 1 {
+	if prio := en.obs.Priority; prio != nil && en.opts.Search != BSH && len(succ) > 1 {
 		if en.opts.Search == DFS {
 			slices.SortStableFunc(succ, func(a, b *node) int {
 				return cmp.Compare(prio(a.via), prio(b.via))
@@ -207,11 +207,6 @@ func (w *worker) expand(n *node) (succ []*node, hit *node, expanded bool) {
 	}
 	if !hadSucc {
 		w.deadends++
-		if en.wantDeadend {
-			s.mu.Lock()
-			en.obs.Deadend(StateVisit{Locs: n.locs, Env: n.env, Depth: n.depth, Worker: w.id})
-			s.mu.Unlock()
-		}
 		if s.goal.Deadlock && s.goal.Satisfied(n.locs, n.env) {
 			hit = n
 		}

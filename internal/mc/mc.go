@@ -116,17 +116,15 @@ type Options struct {
 	// Stats.ByAutomaton, useful for finding which component drives the
 	// state-space size.
 	Profile bool
-	// Observer receives live search events: per-state visits and deadends
-	// (superseding the former Inspect/InspectDeadend callbacks), periodic
-	// progress Snapshots (see SnapshotEvery), and the final Result. An
-	// observer that also implements Prioritizer supplies the
-	// successor-ordering heuristic the former Priority field carried
-	// (higher priority explored first; in the guiding spirit it cannot
-	// change verification answers, only effort). Use FuncObserver for
-	// one-off hooks and Observers to combine several.
-	Observer Observer
+	// Observer receives live search events — per-state visits, periodic
+	// progress Snapshots (see SnapshotEvery) and the final Result — and
+	// its Priority field carries the successor-ordering heuristic (higher
+	// priority explored first; in the guiding spirit it cannot change
+	// verification answers, only effort). Use Observers to combine
+	// several. The engine reads the callbacks once, when the run starts.
+	Observer *FuncObserver
 	// SnapshotEvery enables periodic progress snapshots at this interval,
-	// delivered to Observer.Snapshot from a sampling goroutine (0 = no
+	// delivered to Observer.OnSnapshot from a sampling goroutine (0 = no
 	// periodic snapshots). A final snapshot is always emitted when the
 	// search ends, so even sub-interval runs produce one.
 	SnapshotEvery time.Duration

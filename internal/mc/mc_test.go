@@ -583,7 +583,7 @@ func TestDeadlockQueryWithPredicate(t *testing.T) {
 	if !res.Found {
 		t.Fatal("selected deadlock not found")
 	}
-	locs, _, err := ReplayDiscrete(s, res.Trace)
+	locs, _, err := replayStates(s, res.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}

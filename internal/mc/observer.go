@@ -2,10 +2,10 @@ package mc
 
 import "time"
 
-// StateVisit is the per-state payload delivered to an Observer: the
-// discrete part of an explored state and where in the search it sits. The
-// slices are the engine's own buffers and must not be retained or mutated
-// past the callback.
+// StateVisit is the per-state payload delivered to FuncObserver.OnVisit:
+// the discrete part of an explored state and where in the search it sits.
+// The slices are the engine's own buffers and must not be retained or
+// mutated past the callback.
 type StateVisit struct {
 	Locs  []int32
 	Env   []int32
@@ -17,9 +17,9 @@ type StateVisit struct {
 
 // Snapshot is a point-in-time progress sample of a running search,
 // delivered periodically (every Options.SnapshotEvery) to
-// Observer.Snapshot, plus once more when the search ends. Snapshots are
-// taken from lock-light atomic counters published by the search loops, so
-// observing a long run costs the search essentially nothing.
+// FuncObserver.OnSnapshot, plus once more when the search ends. Snapshots
+// are taken from lock-light atomic counters published by the search
+// loops, so observing a long run costs the search essentially nothing.
 type Snapshot struct {
 	Elapsed        time.Duration
 	StatesExplored int
@@ -47,100 +47,44 @@ type Snapshot struct {
 	Final bool
 }
 
-// Observer receives live events from a running search. It supersedes the
-// former Options.Inspect/InspectDeadend callbacks and is the seam the CLI
-// progress line, run reports, and any future service endpoints sit on.
-// StateVisited and Deadend are called from the search loop (serialized,
-// also under parallel search); Snapshot is called from a sampling
-// goroutine; Done is called exactly once, after the search has fully
-// stopped, with the final Result.
-type Observer interface {
-	StateVisited(v StateVisit)
-	Deadend(v StateVisit)
-	Snapshot(s Snapshot)
-	Done(r Result)
-}
-
-// Prioritizer is an optional Observer capability: an observer that also
-// guides the search. SearchPriority returns the successor-ordering
-// heuristic (higher priority explored first), or nil for none. Like the
-// paper's guides it cannot change verification answers, only effort.
-type Prioritizer interface {
-	SearchPriority() func(t Transition) int
-}
-
-// FuncObserver adapts plain functions to the Observer interface; nil
-// fields are simply skipped (and skipped cheaply: the engine does not even
-// take the serialization lock for events nobody listens to). The zero
-// value is a valid, fully inert observer, so one-liners like
+// FuncObserver receives live events from a running search and may carry
+// the successor-ordering heuristic; it is the seam the CLI progress line,
+// run reports and the service's progress stream sit on. Nil fields are
+// skipped, and skipped cheaply: the engine reads each callback once, so
+// an event nobody listens to costs one branch and, in the parallel
+// search, no lock. OnVisit is called from the search loop (serialized,
+// also under parallel search); OnSnapshot from a sampling goroutine;
+// OnDone exactly once, after the search has fully stopped, with the
+// final Result. The zero value is a valid, fully inert observer, so
+// one-liners like
 //
 //	opts.Observer = &mc.FuncObserver{Priority: p.Priority}
 //
-// replace the former raw-callback fields.
+// install the plant's heuristic alone.
 type FuncObserver struct {
 	OnVisit    func(v StateVisit)
-	OnDeadend  func(v StateVisit)
 	OnSnapshot func(s Snapshot)
 	OnDone     func(r Result)
-	// Priority is the successor-ordering heuristic (see Prioritizer).
+	// Priority is the successor-ordering heuristic: higher priority is
+	// explored first. Like the paper's guides it orders the search and
+	// never removes a move, so it cannot change verification answers,
+	// only effort.
 	Priority func(t Transition) int
 }
 
-// StateVisited implements Observer.
-func (f *FuncObserver) StateVisited(v StateVisit) {
-	if f.OnVisit != nil {
-		f.OnVisit(v)
-	}
-}
-
-// Deadend implements Observer.
-func (f *FuncObserver) Deadend(v StateVisit) {
-	if f.OnDeadend != nil {
-		f.OnDeadend(v)
-	}
-}
-
-// Snapshot implements Observer.
-func (f *FuncObserver) Snapshot(s Snapshot) {
-	if f.OnSnapshot != nil {
-		f.OnSnapshot(s)
-	}
-}
-
-// Done implements Observer.
-func (f *FuncObserver) Done(r Result) {
-	if f.OnDone != nil {
-		f.OnDone(r)
-	}
-}
-
-// SearchPriority implements Prioritizer.
-func (f *FuncObserver) SearchPriority() func(t Transition) int { return f.Priority }
-
-// PriorityOf extracts the successor-ordering heuristic an observer
-// carries, or nil if it carries none.
-func PriorityOf(o Observer) func(t Transition) int {
-	if p, ok := o.(Prioritizer); ok {
-		return p.SearchPriority()
-	}
-	return nil
-}
-
-// Observers fans events out to several observers in order. Nil entries are
-// dropped; a single surviving observer is returned unwrapped. The combined
-// observer's SearchPriority is the first non-nil priority among the
-// members, so a guiding observer composes with a watching one.
-func Observers(os ...Observer) Observer {
-	var kept multiObserver
+// Observers composes several observers into one. Nil members are
+// dropped; a single surviving member is returned unwrapped, and none
+// gives nil. Otherwise the result is a new FuncObserver whose callbacks
+// fan out to the members' in member order — set only where some member
+// sets one, read at composition time — and whose Priority is the first
+// non-nil member priority, so a guiding observer composes with watching
+// ones. The members are not modified.
+func Observers(os ...*FuncObserver) *FuncObserver {
+	var kept []*FuncObserver
 	for _, o := range os {
-		if o == nil {
-			continue
+		if o != nil {
+			kept = append(kept, o)
 		}
-		if m, ok := o.(multiObserver); ok {
-			kept = append(kept, m...)
-			continue
-		}
-		kept = append(kept, o)
 	}
 	switch len(kept) {
 	case 0:
@@ -148,63 +92,39 @@ func Observers(os ...Observer) Observer {
 	case 1:
 		return kept[0]
 	}
-	return kept
-}
-
-type multiObserver []Observer
-
-func (m multiObserver) StateVisited(v StateVisit) {
-	for _, o := range m {
-		o.StateVisited(v)
-	}
-}
-
-func (m multiObserver) Deadend(v StateVisit) {
-	for _, o := range m {
-		o.Deadend(v)
-	}
-}
-
-func (m multiObserver) Snapshot(s Snapshot) {
-	for _, o := range m {
-		o.Snapshot(s)
-	}
-}
-
-func (m multiObserver) Done(r Result) {
-	for _, o := range m {
-		o.Done(r)
-	}
-}
-
-func (m multiObserver) SearchPriority() func(t Transition) int {
-	for _, o := range m {
-		if p := PriorityOf(o); p != nil {
-			return p
+	var visits []func(StateVisit)
+	var snaps []func(Snapshot)
+	var dones []func(Result)
+	f := &FuncObserver{}
+	for _, o := range kept {
+		if o.OnVisit != nil {
+			visits = append(visits, o.OnVisit)
+		}
+		if o.OnSnapshot != nil {
+			snaps = append(snaps, o.OnSnapshot)
+		}
+		if o.OnDone != nil {
+			dones = append(dones, o.OnDone)
+		}
+		if f.Priority == nil {
+			f.Priority = o.Priority
 		}
 	}
-	return nil
+	f.OnVisit, f.OnSnapshot, f.OnDone = fanOut(visits), fanOut(snaps), fanOut(dones)
+	return f
 }
 
-// observerNeeds reports which per-state events an observer actually
-// listens to, so the hot path can skip dispatch (and, in the parallel
-// search, the serialization lock) entirely for unused events. Custom
-// Observer implementations are assumed to listen to everything.
-func observerNeeds(o Observer) (visit, deadend, snapshot bool) {
-	switch v := o.(type) {
-	case nil:
-		return false, false, false
-	case *FuncObserver:
-		return v.OnVisit != nil, v.OnDeadend != nil, v.OnSnapshot != nil
-	case multiObserver:
-		for _, m := range v {
-			mv, md, ms := observerNeeds(m)
-			visit = visit || mv
-			deadend = deadend || md
-			snapshot = snapshot || ms
+// fanOut calls every fn in order; nil for none, the one fn unwrapped.
+func fanOut[T any](fns []func(T)) func(T) {
+	switch len(fns) {
+	case 0:
+		return nil
+	case 1:
+		return fns[0]
+	}
+	return func(x T) {
+		for _, fn := range fns {
+			fn(x)
 		}
-		return visit, deadend, snapshot
-	default:
-		return true, true, true
 	}
 }

@@ -1,7 +1,7 @@
 // Tests of the Observer seam: per-state events must agree exactly with the
 // returned Stats, snapshots must sample a live search and close with a
-// final snapshot matching it, and Observers/PriorityOf must compose a
-// guiding observer with watching ones.
+// final snapshot matching it, and Observers must compose a guiding
+// observer with watching ones.
 package mc_test
 
 import (
@@ -18,16 +18,14 @@ import (
 // code serves sequential and parallel runs (parallel event delivery is
 // serialized by the engine, but snapshots arrive from a sampler goroutine).
 type countingObserver struct {
-	visits   atomic.Int64
-	deadends atomic.Int64
-	done     atomic.Int64
-	last     mc.Result
+	visits atomic.Int64
+	done   atomic.Int64
+	last   mc.Result
 }
 
 func (c *countingObserver) observer() *mc.FuncObserver {
 	return &mc.FuncObserver{
-		OnVisit:   func(mc.StateVisit) { c.visits.Add(1) },
-		OnDeadend: func(mc.StateVisit) { c.deadends.Add(1) },
+		OnVisit: func(mc.StateVisit) { c.visits.Add(1) },
 		OnDone: func(r mc.Result) {
 			c.done.Add(1)
 			c.last = r
@@ -36,8 +34,8 @@ func (c *countingObserver) observer() *mc.FuncObserver {
 }
 
 // TestObserverEventCounts: every explored state produces exactly one
-// StateVisited, every deadend one Deadend, and Done fires once with the
-// final Result — sequential and parallel, across store kinds.
+// OnVisit, and OnDone fires once with the final Result — sequential and
+// parallel, across store kinds.
 func TestObserverEventCounts(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -65,10 +63,7 @@ func TestObserverEventCounts(t *testing.T) {
 				t.Fatal("traingate-safe should be unreachable")
 			}
 			if got, want := int(c.visits.Load()), res.Stats.StatesExplored; got != want {
-				t.Errorf("StateVisited calls = %d, Stats.StatesExplored = %d", got, want)
-			}
-			if got, want := int(c.deadends.Load()), res.Stats.Deadends; got != want {
-				t.Errorf("Deadend calls = %d, Stats.Deadends = %d", got, want)
+				t.Errorf("OnVisit calls = %d, Stats.StatesExplored = %d", got, want)
 			}
 			if c.done.Load() != 1 {
 				t.Errorf("Done called %d times, want exactly 1", c.done.Load())
@@ -149,14 +144,18 @@ func TestObserverSnapshots(t *testing.T) {
 func TestObserversCompose(t *testing.T) {
 	var a, b countingObserver
 	prio := func(tr mc.Transition) int { return -tr.A1 }
+	guiding := &mc.FuncObserver{Priority: prio}
 	combined := mc.Observers(nil,
 		a.observer(),
 		mc.Observers(nil, nil), // empty fan-out collapses to nil and is dropped
-		&mc.FuncObserver{Priority: prio},
+		guiding,
 		b.observer(),
 	)
-	if got := mc.PriorityOf(combined); got == nil {
+	if combined.Priority == nil {
 		t.Fatal("combined observer lost the member priority")
+	}
+	if guiding.OnVisit != nil || guiding.OnDone != nil {
+		t.Fatal("composing modified a member")
 	}
 	sys, goal := chainModelLinear(t, 10)
 	opts := mc.DefaultOptions(mc.DFS)
@@ -177,7 +176,7 @@ func TestObserversCompose(t *testing.T) {
 		t.Error("empty Observers() should be nil")
 	}
 	single := a.observer()
-	if mc.Observers(nil, single) != mc.Observer(single) {
+	if mc.Observers(nil, single) != single {
 		t.Error("single-member fan-out should unwrap to the member itself")
 	}
 }

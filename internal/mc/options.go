@@ -71,13 +71,3 @@ func (o Options) Validate() error {
 	_, err := o.normalize()
 	return err
 }
-
-// Normalized returns the canonical form of the options — the exact
-// configuration the search loops run with. Two option values with the
-// same normalized form are guaranteed to produce the same verdict, which
-// makes this the right projection for result-cache keys: keying on the
-// raw options would let, e.g., Workers 0 and Workers 1 (both sequential)
-// miss each other's cached verdicts.
-func (o Options) Normalized() (Options, error) {
-	return o.normalize()
-}

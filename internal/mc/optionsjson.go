@@ -69,7 +69,7 @@ type optionsWire struct {
 
 // MarshalJSON encodes the client-settable options canonically: every
 // field explicit, process-local fields (Observer, Profile, SnapshotEvery)
-// excluded. Marshaling Normalized() options therefore yields a canonical
+// excluded. Marshaling normalized options therefore yields a canonical
 // byte string — the projection serve's result cache keys on.
 func (o Options) MarshalJSON() ([]byte, error) {
 	secs := o.Timeout.Seconds()
@@ -154,12 +154,15 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// CanonicalJSON returns the canonical encoding of the normalized options:
-// the byte string two option values share exactly when the engine would
-// run them identically. It is the options half of serve's cache key and
-// of any other content-addressed identity.
+// CanonicalJSON returns the canonical encoding of the normalized options
+// — the exact configuration the search loops run with: the byte string
+// two option values share exactly when the engine would run them
+// identically. It is the options half of serve's cache key and of any
+// other content-addressed identity; keying on the raw options would let,
+// e.g., Workers 0 and Workers 1 (both sequential) miss each other's
+// cached verdicts.
 func (o Options) CanonicalJSON() ([]byte, error) {
-	n, err := o.Normalized()
+	n, err := o.normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -27,10 +27,10 @@ func TimeString(t int64) string {
 	return fmt.Sprintf("%d.5", t/Half)
 }
 
-// TimeStringAt renders a timestamp in 1/denom time units (as produced by
-// ConcretizeFine): whole multiples as "12", half units as "12.5", and
-// finer grid points as reduced fractions like "7/4".
-func TimeStringAt(t, denom int64) string {
+// timeStringAt renders a timestamp in 1/denom time units (as produced by
+// schedule): whole multiples as "12", half units as "12.5", and finer
+// grid points as reduced fractions like "7/4".
+func timeStringAt(t, denom int64) string {
 	if denom > 0 && t%denom == 0 {
 		return fmt.Sprintf("%d", t/denom)
 	}
@@ -72,37 +72,31 @@ type diffConstraint struct {
 //
 // Chains of strict constraints can be satisfiable over dense time yet
 // admit no half-unit schedule (each strict bound needs real slack, and the
-// slacks accumulate); Concretize reports that case as an error. Use
-// ConcretizeFine to schedule such traces on an adaptively finer grid.
-// Plant models use weak bounds only, so the synthesis pipeline always
-// stays on the half-unit grid.
+// slacks accumulate); Concretize reports that case as an error, while
+// CheckTrace accepts such traces on an adaptively finer grid. Plant
+// models use weak bounds only, so the synthesis pipeline always stays on
+// the half-unit grid.
 func Concretize(sys *ta.System, trace []Transition) ([]ConcreteStep, error) {
-	steps, denom, err := ConcretizeFine(sys, trace)
+	cons, _, _, err := replay(sys, trace, false)
+	if err != nil {
+		return nil, err
+	}
+	steps, denom, err := schedule(trace, cons)
 	if err != nil {
 		return nil, err
 	}
 	if denom != Half {
-		return nil, fmt.Errorf("mc: trace is schedulable only at 1/%d time granularity (strict-constraint chain); use ConcretizeFine", denom)
+		return nil, fmt.Errorf("mc: trace is schedulable only at 1/%d time granularity (strict-constraint chain)", denom)
 	}
 	return steps, nil
 }
 
-// ConcretizeFine is Concretize without the half-unit restriction: it
-// schedules on the half-unit grid when one exists and otherwise on the
-// grid 1/denom with denom = 2*(len(trace)+2), which is fine enough for
-// every dense-time-feasible trace. Step times are in 1/denom time units;
-// denom == Half exactly when Concretize would succeed. An error means the
-// trace is genuinely inconsistent over dense time.
-func ConcretizeFine(sys *ta.System, trace []Transition) ([]ConcreteStep, int64, error) {
-	cons, _, _, err := replay(sys, trace, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return schedule(trace, cons)
-}
-
 // schedule solves a replay's difference constraints for the earliest
-// firing times of trace.
+// firing times of trace: on the half-unit grid when one exists and
+// otherwise on the grid 1/denom with denom = 2*(len(trace)+2), which is
+// fine enough for every dense-time-feasible trace. Step times are in
+// 1/denom time units. An error means the trace is genuinely inconsistent
+// over dense time.
 func schedule(trace []Transition, cons []diffConstraint) ([]ConcreteStep, int64, error) {
 	times, scale, err := solveDifferenceConstraints(len(trace), cons)
 	if err != nil {
@@ -115,31 +109,10 @@ func schedule(trace []Transition, cons []diffConstraint) ([]ConcreteStep, int64,
 	return steps, scale * Half, nil
 }
 
-// ValidateConcrete checks that concrete firing times satisfy every timing
-// constraint the symbolic trace induces (guards, invariants, monotonicity).
-// It is the independent checker for Concretize's output: any schedule that
-// passes is genuinely executable.
-func ValidateConcrete(sys *ta.System, steps []ConcreteStep) error {
-	return ValidateConcreteAt(sys, steps, Half)
-}
-
-// ValidateConcreteAt is ValidateConcrete for schedules whose times are in
-// 1/denom time units (denom a positive multiple of Half), as produced by
-// ConcretizeFine.
-func ValidateConcreteAt(sys *ta.System, steps []ConcreteStep, denom int64) error {
-	trace := make([]Transition, len(steps))
-	for i, s := range steps {
-		trace[i] = s.Trans
-	}
-	cons, _, _, err := replay(sys, trace, false)
-	if err != nil {
-		return err
-	}
-	return checkTimes(cons, steps, denom)
-}
-
-// checkTimes checks concrete firing times in 1/denom time units against
-// a replay's difference constraints.
+// checkTimes checks concrete firing times in 1/denom time units (denom a
+// positive multiple of Half) against a replay's difference constraints
+// (guards, invariants, monotonicity, urgency): any schedule that passes is
+// genuinely executable.
 func checkTimes(cons []diffConstraint, steps []ConcreteStep, denom int64) error {
 	if denom <= 0 || denom%Half != 0 {
 		return fmt.Errorf("mc: time denominator %d is not a positive multiple of %d", denom, Half)
@@ -153,7 +126,7 @@ func checkTimes(cons []diffConstraint, steps []ConcreteStep, denom int64) error 
 		if times[c.u]-times[c.v] > encodeBound(c, scale) {
 			return fmt.Errorf("mc: timing constraint T%d - T%d %s %s violated (%s - %s)",
 				c.u, c.v, map[bool]string{true: "<", false: "<="}[c.strict], TimeString(c.w),
-				TimeStringAt(times[c.u], denom), TimeStringAt(times[c.v], denom))
+				timeStringAt(times[c.u], denom), timeStringAt(times[c.v], denom))
 		}
 	}
 	return nil
@@ -163,7 +136,7 @@ func checkTimes(cons []diffConstraint, steps []ConcreteStep, denom int64) error 
 // the initial state under the legal-step rule (checkStep), end in a state
 // satisfying the goal, concretize to absolute firing times, and pass the
 // timing validator. Urgency is part of the timing constraints: replay
-// pins a step to its predecessor's time wherever NoDelayAt forbids delay
+// pins a step to its predecessor's time wherever noDelayAt forbids delay
 // in the step's source state, so a schedule that delays there fails
 // validation. It replays the trace once and shares no code with the
 // search's successor enumeration, so it checks the engine's traces
@@ -177,8 +150,8 @@ func CheckTrace(sys *ta.System, goal Goal, trace []Transition) error {
 	if !goal.Deadlock && !goal.Satisfied(locsAt[last], envAt[last]) {
 		return fmt.Errorf("replay: final state does not satisfy the goal")
 	}
-	// The fine grid, as ConcretizeFine: chains of strict bounds can
-	// legitimately need a grid finer than half units.
+	// The fine grid: chains of strict bounds can legitimately need a grid
+	// finer than half units.
 	steps, denom, err := schedule(trace, cons)
 	if err != nil {
 		return fmt.Errorf("concretize: %w", err)
@@ -313,7 +286,7 @@ func replay(sys *ta.System, trace []Transition, states bool) (cons []diffConstra
 		}
 
 		add(s-1, s, 0, false) // monotonic time: T[s] >= T[s-1]
-		if NoDelayAt(sys, locs, env) {
+		if noDelayAt(sys, locs, env) {
 			// The source state forbids delay (urgent/committed location or
 			// enabled urgent sync): transition s must fire at T[s-1]. The
 			// engine never delayed here, so omitting this constraint let
@@ -451,14 +424,15 @@ func bellmanFord(k int, cons []diffConstraint, scale int64) ([]int64, bool) {
 	return nil, false
 }
 
-// NoDelayAt reports whether delay is forbidden in the given discrete
+// noDelayAt reports whether delay is forbidden in the given discrete
 // state: some automaton occupies an urgent or committed location, or an
 // urgent-channel synchronization between two distinct automata is enabled
 // (urgent edges carry no clock guards — Validate enforces that — so
-// enabledness is purely discrete). This mirrors the engine's urgency
-// classification; it is exported so independent trace checkers can audit
-// concretized schedules against the same semantics. Requires Freeze.
-func NoDelayAt(sys *ta.System, locs []int32, env []int32) bool {
+// enabledness is purely discrete). It encodes the engine's urgency
+// classification separately, so replay audits concretized schedules
+// against the same semantics with code the search does not run. Requires
+// Freeze.
+func noDelayAt(sys *ta.System, locs []int32, env []int32) bool {
 	for ai, a := range sys.Automata {
 		switch a.Locations[locs[ai]].Kind {
 		case ta.Committed, ta.Urgent:
@@ -510,12 +484,4 @@ func FormatTrace(sys *ta.System, steps []ConcreteStep) string {
 		out += fmt.Sprintf("@%s %s\n", TimeString(s.Time), s.Trans.Format(sys))
 	}
 	return out
-}
-
-// ReplayDiscrete replays a symbolic trace under the legal-step rule and
-// returns the location vector and integer store after every step (index 0
-// is the initial state).
-func ReplayDiscrete(sys *ta.System, trace []Transition) (locsAt [][]int32, envAt [][]int32, err error) {
-	_, locsAt, envAt, err = replay(sys, trace, true)
-	return locsAt, envAt, err
 }

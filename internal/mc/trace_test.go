@@ -8,6 +8,37 @@ import (
 	"guidedta/internal/ta"
 )
 
+// concretizeFine schedules trace on the grid it needs, as CheckTrace
+// does: half units when a half-unit schedule exists, finer otherwise.
+func concretizeFine(sys *ta.System, trace []Transition) ([]ConcreteStep, int64, error) {
+	cons, _, _, err := replay(sys, trace, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return schedule(trace, cons)
+}
+
+// validateAt checks steps, timed in 1/denom units, against the timing
+// constraints their trace induces.
+func validateAt(sys *ta.System, steps []ConcreteStep, denom int64) error {
+	trace := make([]Transition, len(steps))
+	for i, st := range steps {
+		trace[i] = st.Trans
+	}
+	cons, _, _, err := replay(sys, trace, false)
+	if err != nil {
+		return err
+	}
+	return checkTimes(cons, steps, denom)
+}
+
+// replayStates returns the discrete state before every step of trace and
+// after the last.
+func replayStates(sys *ta.System, trace []Transition) (locsAt, envAt [][]int32, err error) {
+	_, locsAt, envAt, err = replay(sys, trace, true)
+	return locsAt, envAt, err
+}
+
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		in   int64
@@ -210,7 +241,7 @@ func TestReplayDiscrete(t *testing.T) {
 	if err != nil || !res.Found {
 		t.Fatal("explore failed")
 	}
-	locsAt, envAt, err := ReplayDiscrete(s, res.Trace)
+	locsAt, envAt, err := replayStates(s, res.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +253,7 @@ func TestReplayDiscrete(t *testing.T) {
 	}
 	// Replay of a bogus trace errors.
 	bogus := []Transition{{Chan: -1, A1: 0, E1: 1, A2: -1, E2: -1}}
-	if _, _, err := ReplayDiscrete(s, bogus); err == nil {
+	if _, _, err := replayStates(s, bogus); err == nil {
 		t.Error("bogus replay accepted")
 	}
 }
@@ -250,20 +281,20 @@ func TestValidateConcrete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateConcrete(s, steps); err != nil {
+	if err := validateAt(s, steps, Half); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	// Corrupt a timestamp: firing the first edge too early violates its
 	// guard x >= 2.
 	bad := append([]ConcreteStep{}, steps...)
 	bad[0].Time = 1 * Half
-	if err := ValidateConcrete(s, bad); err == nil {
+	if err := validateAt(s, bad, Half); err == nil {
 		t.Error("early firing accepted")
 	}
 	// Non-monotone times must also fail.
 	bad = append([]ConcreteStep{}, steps...)
 	bad[1].Time = steps[0].Time - 1
-	if err := ValidateConcrete(s, bad); err == nil {
+	if err := validateAt(s, bad, Half); err == nil {
 		t.Error("non-monotone schedule accepted")
 	}
 }
@@ -285,7 +316,7 @@ func TestConcretizeAlwaysValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ValidateConcrete(sys, steps); err != nil {
+		if err := validateAt(sys, steps, Half); err != nil {
 			t.Fatalf("trial %d: concretized schedule invalid: %v", trial, err)
 		}
 	}
@@ -317,22 +348,22 @@ func TestConcretizeUrgentNoStall(t *testing.T) {
 		t.Fatalf("found=%v trace=%d, want goal via 2 steps", res.Found, len(res.Trace))
 	}
 
-	locsAt, envAt, err := ReplayDiscrete(s, res.Trace)
+	locsAt, envAt, err := replayStates(s, res.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !NoDelayAt(s, locsAt[1], envAt[1]) {
-		t.Fatal("NoDelayAt should report the urgent location l1")
+	if !noDelayAt(s, locsAt[1], envAt[1]) {
+		t.Fatal("noDelayAt should report the urgent location l1")
 	}
-	if NoDelayAt(s, locsAt[0], envAt[0]) {
-		t.Fatal("NoDelayAt misreports the normal location l0")
+	if noDelayAt(s, locsAt[0], envAt[0]) {
+		t.Fatal("noDelayAt misreports the normal location l0")
 	}
 
 	steps, err := Concretize(s, res.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateConcrete(s, steps); err != nil {
+	if err := validateAt(s, steps, Half); err != nil {
 		t.Fatal(err)
 	}
 	// Both transitions must fire at t=3: delaying to 3 happens in l0, and
@@ -345,7 +376,7 @@ func TestConcretizeUrgentNoStall(t *testing.T) {
 	// the urgent location: the validator must refuse it, because its
 	// timing constraints are CheckTrace's only urgency check.
 	stall := []ConcreteStep{{Trans: res.Trace[0], Time: 0}, {Trans: res.Trace[1], Time: 3 * Half}}
-	if err := ValidateConcreteAt(s, stall, Half); err == nil {
+	if err := validateAt(s, stall, Half); err == nil {
 		t.Error("a schedule that delays in the urgent l1 validated")
 	}
 }
@@ -382,14 +413,14 @@ func TestConcretizeUrgentChannelNoStall(t *testing.T) {
 	if !res.Found {
 		t.Fatal("goal not found")
 	}
-	locsAt, envAt, err := ReplayDiscrete(s, res.Trace)
+	locsAt, envAt, err := replayStates(s, res.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// After P steps to p1 the urgent sync is enabled: delay is forbidden.
 	sawUrgent := false
 	for i := range locsAt {
-		if NoDelayAt(s, locsAt[i], envAt[i]) {
+		if noDelayAt(s, locsAt[i], envAt[i]) {
 			sawUrgent = true
 		}
 	}
@@ -400,14 +431,14 @@ func TestConcretizeUrgentChannelNoStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateConcrete(s, steps); err != nil {
+	if err := validateAt(s, steps, Half); err != nil {
 		t.Fatal(err)
 	}
 	// The times audit: whenever the state before step i forbids delay, the
 	// step fires at the same instant as its predecessor.
 	prev := int64(0)
 	for i, st := range steps {
-		if NoDelayAt(s, locsAt[i], envAt[i]) && st.Time != prev {
+		if noDelayAt(s, locsAt[i], envAt[i]) && st.Time != prev {
 			t.Errorf("step %d fires at %s but its source state forbids delay since %s",
 				i, TimeString(st.Time), TimeString(prev))
 		}
@@ -421,7 +452,7 @@ func TestConcretizeUrgentChannelNoStall(t *testing.T) {
 // half grid T1 <= 0.5 forces T2 <= 1.0, contradicting T2 > 1. The old
 // solver folded strictness into a fixed -1 on the half grid and reported
 // such traces as inconsistent (a false negative cycle, found by the fuzz
-// harness); ConcretizeFine must schedule them on a finer grid instead.
+// harness); schedule must place them on a finer grid instead.
 func TestConcretizeFineStrictChain(t *testing.T) {
 	s := ta.NewSystem("strict-chain")
 	gt := s.AddClock("gt")
@@ -449,21 +480,21 @@ func TestConcretizeFineStrictChain(t *testing.T) {
 		t.Errorf("Concretize failed with %q, want the fine-granularity hint", err)
 	}
 
-	steps, denom, err := ConcretizeFine(s, res.Trace)
+	steps, denom, err := concretizeFine(s, res.Trace)
 	if err != nil {
-		t.Fatalf("ConcretizeFine rejected a dense-time-feasible trace: %v", err)
+		t.Fatalf("schedule rejected a dense-time-feasible trace: %v", err)
 	}
 	if denom <= Half || denom%Half != 0 {
 		t.Fatalf("denom = %d, want a multiple of %d greater than it", denom, Half)
 	}
-	if err := ValidateConcreteAt(s, steps, denom); err != nil {
+	if err := validateAt(s, steps, denom); err != nil {
 		t.Fatal(err)
 	}
 	// The strict bounds as rationals: T1 < 1, T2 > 1, T2 - T1 < 1.
 	t1, t2 := steps[0].Time, steps[1].Time
 	if !(t1 < denom && t2 > denom && t2-t1 < denom) {
 		t.Errorf("schedule %s, %s (denom %d) violates the strict chain",
-			TimeStringAt(t1, denom), TimeStringAt(t2, denom), denom)
+			timeStringAt(t1, denom), timeStringAt(t2, denom), denom)
 	}
 }
 
@@ -486,8 +517,8 @@ func TestConcretizeFineRejectsInfeasible(t *testing.T) {
 		{Chan: -1, A1: 0, E1: e0, A2: -1, E2: -1},
 		{Chan: -1, A1: 0, E1: e1, A2: -1, E2: -1},
 	}
-	if _, _, err := ConcretizeFine(s, trace); err == nil {
-		t.Error("ConcretizeFine accepted an inconsistent trace")
+	if _, _, err := concretizeFine(s, trace); err == nil {
+		t.Error("schedule accepted an inconsistent trace")
 	}
 }
 
@@ -498,15 +529,16 @@ func TestTimeStringAt(t *testing.T) {
 	}{
 		{24, 12, "2"}, {6, 12, "1/2"}, {9, 12, "3/4"}, {3, 2, "1.5"}, {0, 12, "0"},
 	} {
-		if got := TimeStringAt(tt.t, tt.denom); got != tt.want {
-			t.Errorf("TimeStringAt(%d, %d) = %q, want %q", tt.t, tt.denom, got, tt.want)
+		if got := timeStringAt(tt.t, tt.denom); got != tt.want {
+			t.Errorf("timeStringAt(%d, %d) = %q, want %q", tt.t, tt.denom, got, tt.want)
 		}
 	}
 }
 
 // TestTraceCheckersRejectIllegalSteps pins the legal-step rule every trace
 // checker shares: each row breaks one rule of a legal trace and must be
-// refused with an error, never a panic, by all four entry points.
+// refused with an error, never a panic, by CheckTrace and by each stage
+// it is built from.
 func TestTraceCheckersRejectIllegalSteps(t *testing.T) {
 	s := ta.NewSystem("steps")
 	ch := s.AddChannel("go", false)
@@ -548,13 +580,13 @@ func TestTraceCheckersRejectIllegalSteps(t *testing.T) {
 			}
 			checks := map[string]func() error{
 				"CheckTrace": func() error { return CheckTrace(s, Goal{}, r.trace) },
-				"ConcretizeFine": func() error {
-					_, _, err := ConcretizeFine(s, r.trace)
+				"schedule": func() error {
+					_, _, err := concretizeFine(s, r.trace)
 					return err
 				},
-				"ValidateConcreteAt": func() error { return ValidateConcreteAt(s, steps, Half) },
-				"ReplayDiscrete": func() error {
-					_, _, err := ReplayDiscrete(s, r.trace)
+				"checkTimes": func() error { return validateAt(s, steps, Half) },
+				"replay": func() error {
+					_, _, err := replayStates(s, r.trace)
 					return err
 				},
 			}

@@ -130,7 +130,8 @@ func TestKeepFinalKeepsWitnessPath(t *testing.T) {
 // warm-started from its own final checkpoint must find the goal by
 // replaying the seed's goal state, exploring nothing:
 // the witness is the seed run's own trace, it still replays and
-// concretizes, and the run's kept-final checkpoint holds only its path.
+// concretizes, and the run's kept-final checkpoint holds only its path,
+// with the goal's zone in the store's compact form, equal to the seed's.
 func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	sys, goal := fischerKModel(t, 4, 2)
 	path, ref := keepFinalCheckpoint(t, sys, goal, mc.DefaultOptions(mc.DFS))
@@ -164,6 +165,23 @@ func TestWarmStartSameModelInstantWitness(t *testing.T) {
 	}
 	keptPathOnly(t, kept, res.Trace)
 	checkTrace(t, sys, goal, res)
+	seedGoal, keptGoal := keptGoalZone(t, path), keptGoalZone(t, kept)
+	if keptGoal.Kind != snapshot.ZoneCompact {
+		t.Fatalf("replayed goal kept as zone kind %d, want the compact store's %d", keptGoal.Kind, snapshot.ZoneCompact)
+	}
+	if keptGoal.Dim != seedGoal.Dim || !slices.Equal(keptGoal.Cons, seedGoal.Cons) {
+		t.Fatalf("replayed goal kept %v, its seed's searched goal %v", keptGoal, seedGoal)
+	}
+}
+
+// keptGoalZone returns the goal zone of the kept-final snapshot at path.
+func keptGoalZone(t *testing.T, path string) snapshot.Zone {
+	t.Helper()
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp.Nodes[cp.Store[0]].Zone
 }
 
 // TestWarmStartNearbyModelFewerStates is the re-synthesis scenario: the

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -307,7 +308,8 @@ func TestWarmStartServe(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, CheckpointDir: dir, WarmStart: true}
 	srv, ts := newTestServer(t, cfg)
-	code, first := postJob(t, ts, `{"plant": {"batches": 2}, "options": {"search": "dfs"}}`, true)
+	const base = `{"plant": {"batches": 2}, "options": {"search": "dfs"}}`
+	code, first := postJob(t, ts, base, true)
 	if code != http.StatusOK || first.State != JobDone {
 		t.Fatalf("base synthesis: status %d state %q (%s)", code, first.State, first.Error)
 	}
@@ -388,6 +390,19 @@ func TestWarmStartServe(t *testing.T) {
 	warm := fleet(ts, 3, 4, 5)
 	if len(warm) == 0 || warm[0] != "plant 3 round 0" {
 		t.Fatalf("after restart the warm-started jobs were %v; the first must be plant 3 round 0", warm)
+	}
+	// The base request again: the restart emptied the result cache, so it
+	// runs, seeded from its own kept path, whose witness replays.
+	code, again := postJob(t, ts, base, true)
+	if code != http.StatusOK || again.State != JobDone {
+		t.Fatalf("base resubmission after restart: status %d state %q (%s)", code, again.State, again.Error)
+	}
+	if again.WarmStartedFrom != first.Key || again.Report.Stats.StatesExplored != 0 {
+		t.Fatalf("base resubmission: warm_started_from %q, explored %d; want its own key %q and 0",
+			again.WarmStartedFrom, again.Report.Stats.StatesExplored, first.Key)
+	}
+	if !reflect.DeepEqual(again.Schedule, first.Schedule) {
+		t.Fatal("base resubmission's schedule differs from the first run's")
 	}
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {

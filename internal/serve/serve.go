@@ -44,7 +44,6 @@ import (
 	"guidedta/internal/guide"
 	"guidedta/internal/mc"
 	"guidedta/internal/plant"
-	"guidedta/internal/snapshot"
 	"guidedta/internal/synth"
 	"guidedta/internal/tadsl"
 )
@@ -539,24 +538,14 @@ func (s *Server) execute(ex *execution) *outcome {
 			opts.Checkpoint.KeepFinal = true
 			if canon, err := opts.CanonicalJSON(); err == nil {
 				warmGroupKey = warmGroup(kind, canon)
-			}
-			if hdr, err := snapshot.ReadHeader(ckptPath); err == nil && hdr.Final {
-				// The exact key already has a final snapshot (a run that
-				// found its goal, e.g. before a restart emptied the result
-				// cache). Resume would refuse it — a final checkpoint is a
-				// witness path with no frontier to resume (see
-				// mc.CheckpointOptions KeepFinal) — so warm-start from it
-				// instead: its witness replays.
-				opts.Checkpoint.Resume = false
-				opts.WarmStart.Path = ckptPath
-				warmFrom = ex.key
-			} else if s.warm != nil && warmGroupKey != "" {
-				// Near-miss: another key with the same kind and options —
-				// a different model, i.e. a disturbed re-synthesis — left
-				// a final snapshot whose witness may replay.
 				if seed := s.warm.lookup(warmGroupKey, ex.key); seed != "" {
 					opts.WarmStart.Path = filepath.Join(s.cfg.CheckpointDir, seed+".ckpt")
 					warmFrom = seed
+					// The key's own kept path (a run that found its goal,
+					// e.g. before a restart emptied the result cache) is a
+					// witness with no frontier, which resume would refuse
+					// (see mc.CheckpointOptions KeepFinal); it replays.
+					opts.Checkpoint.Resume = seed != ex.key
 				}
 			}
 		}

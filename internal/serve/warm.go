@@ -78,17 +78,19 @@ func (w *warmIndex) record(key, group string) {
 	w.byGroup[group] = append(w.byGroup[group], key)
 }
 
-// lookup returns a warm-family sibling of key to warm-start from (the most
-// recently recorded one, which drifted least), or "" when the family has
-// no other member.
+// lookup returns the kept path to warm-start key from: key's own when it
+// has one, else the family's most recently recorded one (the near miss
+// that drifted least: same kind and options, another model), or "" when
+// the family is empty. Every kept path is recorded, at found time and by
+// the startup scan, so the index alone decides.
 func (w *warmIndex) lookup(group, key string) string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	keys := w.byGroup[group]
-	for i := len(keys) - 1; i >= 0; i-- {
-		if keys[i] != key {
-			return keys[i]
-		}
+	if w.keyGroup[key] == group {
+		return key
+	}
+	if keys := w.byGroup[group]; len(keys) > 0 {
+		return keys[len(keys)-1]
 	}
 	return ""
 }
