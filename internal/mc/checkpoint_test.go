@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/snapshot"
 	"guidedta/internal/ta"
 )
 
@@ -110,8 +111,62 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if _, err := os.Stat(path); !os.IsNotExist(err) {
 					t.Fatalf("checkpoint not removed after completion: %v", err)
 				}
+				if order == mc.DFS {
+					resumeAfterStateLimit(t, ref, path, compact)
+				}
 			})
 		}
+	}
+}
+
+// resumeAfterStateLimit aborts the DFS run of the checkpoint matrix at half
+// the reference's explored states. The stack's top is the last successor
+// pushed, which keeps its matrix until it is popped: the checkpoint must
+// still write it in the store's zone form, and the run resumed from it
+// must end exactly as the uninterrupted reference.
+func resumeAfterStateLimit(t *testing.T, ref mc.Result, path string, compact bool) {
+	t.Helper()
+	sys, goal, opts := ckptModel(t, mc.DFS)
+	opts.Compact = compact
+	opts.Checkpoint = mc.CheckpointOptions{Path: path, Resume: true}
+	opts.MaxStates = ref.Stats.StatesExplored / 2
+	res1, err := mc.Explore(sys, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Abort != mc.AbortStates {
+		t.Fatalf("limited run aborted %q, want %q", res1.Abort, mc.AbortStates)
+	}
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Frontier) == 0 {
+		t.Fatal("state-limit checkpoint has an empty frontier")
+	}
+	want := snapshot.ZoneFull
+	if compact {
+		want = snapshot.ZoneCompact
+	}
+	if top := cp.Nodes[cp.Frontier[len(cp.Frontier)-1].Node]; !top.HasState || top.Zone.Kind != want {
+		t.Fatalf("frontier top written with state %v, zone kind %d; want kind %d", top.HasState, top.Zone.Kind, want)
+	}
+
+	sys, goal, opts = ckptModel(t, mc.DFS)
+	opts.Compact = compact
+	opts.Checkpoint = mc.CheckpointOptions{Path: path, Resume: true}
+	res2, err := mc.Explore(sys, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res2.Resumed || res2.Found != ref.Found || !reflect.DeepEqual(res2.Trace, ref.Trace) {
+		t.Fatalf("resumed %v: found=%v with %d transitions, reference found=%v with %d",
+			res2.Resumed, res2.Found, len(res2.Trace), ref.Found, len(ref.Trace))
+	}
+	got := [3]int64{int64(res2.Stats.StatesExplored), int64(res2.Stats.StatesStored), res2.Stats.Evictions}
+	want3 := [3]int64{int64(ref.Stats.StatesExplored), int64(ref.Stats.StatesStored), ref.Stats.Evictions}
+	if got != want3 {
+		t.Fatalf("resumed explored/stored/evictions %v, reference %v", got, want3)
 	}
 }
 

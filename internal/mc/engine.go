@@ -20,8 +20,13 @@ type node struct {
 	// array (locs = d[:nl], env = d[nl:]); the passed store repoints a
 	// node it stores at the array its bucket's stored nodes share (see
 	// bucket), before the node is published.
-	locs   []int32
-	env    []int32
+	locs []int32
+	env  []int32
+	// zone is the full matrix. The full-matrix store keeps it as long as
+	// it keeps the node. Otherwise it is held from the node's creation
+	// until the node is parked (compact store, see czone) or expanded (bit
+	// table), and again while it is expanded; of a replayed witness path
+	// only the root and the goal keep theirs. Nil when not held.
 	zone   *dbm.DBM
 	parent *node
 	via    Transition
@@ -30,8 +35,11 @@ type node struct {
 	// passed store when the node is inserted. While the node waits on the
 	// frontier its full DBM is released to the zone free-list and
 	// reconstructed (exactly, by the round-trip property) when the node is
-	// popped for expansion — so at any instant only the states actually
-	// being expanded hold O(n²) matrices. Immutable once set.
+	// popped for expansion, and released again once it is expanded. The
+	// one waiting node that keeps its matrix is the top of a sequential
+	// DFS stack, the last successor pushed, since it is popped next. So
+	// at any instant only the states being expanded, and that one, hold
+	// O(n²) matrices. Immutable once set.
 	czone *dbm.Compact
 	// subsumed marks nodes evicted from the passed store by a node with a
 	// larger zone; the search skips them when popped. Atomic because in

@@ -62,7 +62,7 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	if err != nil {
 		return Result{}, err
 	}
-	if res, err = en.explore(goal); err != nil {
+	if res, err = en.explore(en.newLoop(goal)); err != nil {
 		return res, err
 	}
 	if done := en.obs.OnDone; done != nil {
@@ -125,20 +125,22 @@ type searchLoop interface {
 	snapshot() Snapshot
 }
 
-// explore runs one search: the prologue (store, checkpointer, resume, warm
-// replay, initial offer) and the epilogue (store stats, trace, final
-// checkpoint) are common to both orders of work; the loop in between is
-// the sequential one or, with Workers > 1 — normalize has already kept
-// BSH and BestTime at one — the parallel one.
-func (en *engine) explore(goal Goal) (res Result, err error) {
-	var d searchLoop
+// newLoop sets up the search for goal: the sequential loop or, with
+// Workers > 1 — normalize has already kept BSH and BestTime at one — the
+// parallel one.
+func (en *engine) newLoop(goal Goal) searchLoop {
 	if en.opts.Workers > 1 {
-		d = newParSearch(en, goal)
-	} else {
-		d = newSeqSearch(en, goal)
+		return newParSearch(en, goal)
 	}
+	return newSeqSearch(en, goal)
+}
+
+// explore runs one search with loop d: the prologue (store, checkpointer,
+// resume, warm replay, initial offer) and the epilogue (store stats,
+// trace, final checkpoint) are common to both orders of work.
+func (en *engine) explore(d searchLoop) (res Result, err error) {
 	s := d.shared()
-	w := &s.w0
+	goal, w := s.goal, &s.w0
 	// Observability: with snapshots requested, the loops publish their
 	// counters into an atomic instrumentation block after every expansion
 	// and a sampler goroutine turns them into Snapshots. Without (the
@@ -302,7 +304,10 @@ const waitingSlot = 16
 type seqSearch struct {
 	search
 	front frontier
-	ins   *instr
+	// lifo is set for the DFS (and BSH) stack, whose next pop is the last
+	// node pushed.
+	lifo bool
+	ins  *instr
 	// waitingBytes is the frontier's share of the accounted memory: nodes
 	// retained by the store are counted there exactly once, and waiting
 	// entries add only slot overhead; with the bit table the store holds
@@ -313,6 +318,7 @@ type seqSearch struct {
 
 func newSeqSearch(en *engine, goal Goal) *seqSearch {
 	q := &seqSearch{front: newFrontier(en.opts)}
+	_, q.lifo = q.front.(*lifoFrontier)
 	q.init(en, goal)
 	if en.sampling() {
 		q.ins = newInstr(1)
@@ -328,18 +334,21 @@ func (q *seqSearch) waitingCost(n *node) int64 {
 }
 
 // push queues n, then parks a compact-stored node without its matrix (the
-// BestTime heap takes its priority from the zone during the push).
-func (q *seqSearch) push(n *node) {
+// BestTime heap takes its priority from the zone during the push) unless
+// keep says it is popped next. A kept node still has its compact form, so
+// a checkpoint taken before the pop writes the same bytes, and it costs
+// the same slot overhead as a parked one.
+func (q *seqSearch) push(n *node, keep bool) {
 	q.waitingBytes += q.waitingCost(n)
 	q.front.push(n)
-	if n.czone != nil {
+	if n.czone != nil && !keep {
 		q.w0.c.releaseNode(n)
 	}
 }
 
 func (q *seqSearch) queue(ns []*node) {
 	for _, n := range ns {
-		q.push(n)
+		q.push(n, false)
 	}
 }
 
@@ -373,8 +382,10 @@ func (q *seqSearch) run() (*node, AbortReason, error) {
 		n := front.pop()
 		q.waitingBytes -= q.waitingCost(n)
 		succ, hit, _ := w.expand(n)
-		for _, x := range succ {
-			q.push(x)
+		for i, x := range succ {
+			// The stack pops the last successor pushed first: parking
+			// its matrix would only inflate it back.
+			q.push(x, q.lifo && i == len(succ)-1)
 		}
 		w.peakWaiting = max(w.peakWaiting, front.len())
 		if ins := q.ins; ins != nil {

@@ -22,6 +22,10 @@ type counters struct {
 	// frontier share is charged at the end from the global peak waiting).
 	peakMem     int64
 	byAutomaton []int // generated transitions per initiating automaton (Profile only)
+	// inflates counts the matrices rebuilt from a compact-parked zone for
+	// expansion. It is a cost gauge for tests: neither Stats nor a
+	// checkpoint carries it.
+	inflates int
 }
 
 // countersOf restores a checkpoint's counters. nAutomata sizes the profile
@@ -55,6 +59,7 @@ func (k *counters) merge(o *counters) {
 	k.peakWaiting = max(k.peakWaiting, o.peakWaiting)
 	k.steals += o.steals
 	k.peakMem = max(k.peakMem, o.peakMem)
+	k.inflates += o.inflates
 	if len(o.byAutomaton) > len(k.byAutomaton) {
 		grown := make([]int, len(o.byAutomaton))
 		copy(grown, k.byAutomaton)
@@ -152,6 +157,7 @@ func (w *worker) expand(n *node) (succ []*node, hit *node, expanded bool) {
 		// Compact store: the matrix was released when n was parked on the
 		// frontier; rebuild it (exactly) for expansion.
 		n.zone = c.inflateZone(n.czone)
+		w.inflates++
 	}
 	w.explored++
 	if n.depth > w.maxDepth {

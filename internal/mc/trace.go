@@ -227,6 +227,7 @@ func replay(sys *ta.System, trace []Transition, states bool) (cons []diffConstra
 		val  int64
 	}
 	lastReset := make([]resetPoint, sys.NumClocks())
+	cons = make([]diffConstraint, 0, replayBound(sys, trace))
 
 	locs := make([]int32, len(sys.Automata))
 	for ai, a := range sys.Automata {
@@ -318,6 +319,39 @@ func replay(sys *ta.System, trace []Transition, states bool) (cons []diffConstra
 	return cons, locsAt, envAt, nil
 }
 
+// replayBound bounds the number of constraints replay collects for trace:
+// per step, time monotonicity and the no-delay pin, the clock guards of
+// its edges, and the invariants of the state before and after it. A step
+// naming an edge that does not exist ends the count, as it ends the replay.
+func replayBound(sys *ta.System, trace []Transition) int {
+	locs := make([]int, len(sys.Automata))
+	inv := 0 // invariant constraints of the locations in locs
+	for ai, a := range sys.Automata {
+		locs[ai] = a.Init
+		inv += len(a.Locations[a.Init].Invariant)
+	}
+	n := 0
+	for _, t := range trace {
+		n += 2 + inv
+		for i, m := range [2][2]int{{t.A1, t.E1}, {t.A2, t.E2}} {
+			if i == 1 && t.Internal() {
+				break
+			}
+			ai, ei := m[0], m[1]
+			if ai < 0 || ai >= len(sys.Automata) || ei < 0 || ei >= len(sys.Automata[ai].Edges) {
+				return n
+			}
+			a := sys.Automata[ai]
+			e := &a.Edges[ei]
+			n += len(e.ClockGuard)
+			inv += len(a.Locations[e.Dst].Invariant) - len(a.Locations[locs[ai]].Invariant)
+			locs[ai] = e.Dst
+		}
+		n += inv
+	}
+	return n
+}
+
 // encodeBound is the integer encoding of a difference constraint at grid
 // scale (times in units of 1/(scale*Half) model units): bound values scale
 // by `scale`, and a strict bound tightens by one grid tick so any integer
@@ -345,22 +379,40 @@ func encodeBound(c diffConstraint, scale int64) int64 {
 // integer system feasible iff the dense-time one is.
 func solveDifferenceConstraints(k int, cons []diffConstraint) ([]int64, int64, error) {
 	times := make([]int64, k+1)
-	// Group constraints by their later variable for the greedy pass.
+	// Group constraints by their later variable m for the greedy pass.
+	// T[u] - T[m] <= w with u < m is a lower bound T[m] >= T[u] - w; the
+	// rest (upper bounds T[m] - T[v] <= w, and u == v) are checked once
+	// T[m] is fixed. Each group's size is counted first, so every group of
+	// a kind is carved from one array.
 	lower := make([][]diffConstraint, k+1) // constraints giving T[s] >= ...
 	check := make([][]diffConstraint, k+1) // constraints checkable once max(u,v) fixed
-	for _, c := range cons {
-		m := c.u
-		if c.v > m {
-			m = c.v
+	sizes := make([]int, 2*(k+1))          // lower's group sizes, then check's
+	group := func(c diffConstraint) int {
+		if c.u < c.v {
+			return c.v
 		}
-		if c.u == m && c.v < m {
-			// T[m] - T[v] <= w: upper bound on T[m].
-			check[m] = append(check[m], c)
-		} else if c.v == m && c.u < m {
-			// T[u] - T[m] <= w: lower bound T[m] >= T[u] - w.
-			lower[m] = append(lower[m], c)
+		return k + 1 + c.u
+	}
+	for _, c := range cons {
+		sizes[group(c)]++
+	}
+	carve := func(groups [][]diffConstraint, sizes []int) {
+		total := 0
+		for _, n := range sizes {
+			total += n
+		}
+		back := make([]diffConstraint, total)
+		for s, n := range sizes {
+			groups[s], back = back[:0:n], back[n:]
+		}
+	}
+	carve(lower, sizes[:k+1])
+	carve(check, sizes[k+1:])
+	for _, c := range cons {
+		if g := group(c); g <= k {
+			lower[g] = append(lower[g], c)
 		} else {
-			check[m] = append(check[m], c) // u == v or same-step diagonal
+			check[g-k-1] = append(check[g-k-1], c)
 		}
 	}
 	greedyOK := true

@@ -605,3 +605,42 @@ func TestTraceCheckersRejectIllegalSteps(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayReservesConstraints: replay collects its constraints into one
+// slice reserved from replayBound, which must hold them all (a regrown
+// slice has a larger capacity) and must survive a trace naming edges
+// that do not exist.
+func TestReplayReservesConstraints(t *testing.T) {
+	s := ta.NewSystem("inv")
+	x := s.AddClock("x")
+	a := s.AddAutomaton("A")
+	l0 := a.AddLocation("l0", ta.Normal)
+	l1 := a.AddLocation("l1", ta.Normal)
+	l2 := a.AddLocation("l2", ta.Normal)
+	a.SetInvariant(l0, ta.LE(x, 5))
+	a.SetInvariant(l1, ta.LE(x, 3))
+	a.SetInit(l0)
+	a.Edge(l0, l1).When(ta.EQ(x, 5)...).Reset(x).Done()
+	a.Edge(l1, l2).When(ta.EQ(x, 3)...).Done()
+	fischer, fgoal := fischerN(t, 4, false)
+	for _, m := range []struct {
+		sys  *ta.System
+		goal Goal
+	}{{s, Goal{Locs: []LocRequirement{{0, l2}}}}, {fischer, fgoal}} {
+		res, err := Explore(m.sys, m.goal, DefaultOptions(DFS))
+		if err != nil || !res.Found {
+			t.Fatalf("%s: explore: %v found=%v", m.sys.Name, err, res.Found)
+		}
+		cons, _, _, err := replay(m.sys, res.Trace, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := replayBound(m.sys, res.Trace); len(cons) > bound || cap(cons) != bound {
+			t.Errorf("%s: %d constraints in a slice of %d, reserved %d", m.sys.Name, len(cons), cap(cons), bound)
+		}
+		bad := append(res.Trace[:1:1], Transition{Chan: -1, A1: 0, E1: 99, A2: -1, E2: -1}, Transition{A1: 99})
+		if _, _, _, err := replay(m.sys, bad, false); err == nil {
+			t.Errorf("%s: a trace naming a missing edge replays", m.sys.Name)
+		}
+	}
+}

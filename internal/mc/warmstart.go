@@ -127,20 +127,40 @@ func seedTrace(nodes []snapshot.Node, ix int32) []Transition {
 // or the final state misses the goal's discrete conditions. It is never
 // asked about a deadlock goal, whose deadlock-ness a replay does not
 // check.
+//
+// Of the chain, only root and the returned node keep a full matrix: each
+// step's zone goes back to the free-list once the next step has fired,
+// since the path is read again only for its links. A failed replay
+// recycles its whole chain, root excepted; nothing references it.
 func (c *engineCtx) replayTrace(root *node, trace []Transition, goal Goal) *node {
 	cur := root
 	for _, t := range trace {
-		if _, _, err := checkStep(c.en.sys, cur.locs, cur.env, t); err != nil {
+		var next *node
+		if _, _, err := checkStep(c.en.sys, cur.locs, cur.env, t); err == nil {
+			next = c.fire(cur, t)
+		}
+		if next == nil {
+			c.dropChain(cur, root)
 			return nil
 		}
-		next := c.fire(cur, t)
-		if next == nil {
-			return nil
+		if cur != root {
+			c.releaseNode(cur)
 		}
 		cur = next
 	}
 	if !goal.Satisfied(cur.locs, cur.env) {
+		c.dropChain(cur, root)
 		return nil
 	}
 	return cur
+}
+
+// dropChain recycles a failed replay's nodes from n up to root, which it
+// leaves alone.
+func (c *engineCtx) dropChain(n, root *node) {
+	for n != root {
+		p := n.parent
+		c.recycleNode(n)
+		n = p
+	}
 }

@@ -54,6 +54,16 @@ func (b *builder) buildBatch(bi int) {
 	bs := strconv.Itoa(bi)
 	a := b.sys.AddAutomaton("Batch" + bs)
 	ai := len(b.sys.Automata) - 1
+	// In the order added below. Locations: waiting, the track slots, the
+	// machines, per crane lifting, carried and an arrival per droppable
+	// point, the six casting-side locations, and a transit per track move.
+	// Edges: a pour per track, two per move, on and off per machine, the
+	// lifts, two lift completions, two per set-down, and three for casting.
+	moves := NumTracks * 2 * (TrackLen - 1)
+	lifts := len(b.liftPoints(0)) + len(b.liftPoints(1))
+	drops := len(b.dropPoints(0)) + len(b.dropPoints(1))
+	reserve(a, 1+NumTracks*TrackLen+NumMach+2*(2+len(droppablePoints))+6+moves,
+		NumTracks+2*moves+2*NumMach+lifts+2+2*drops+3)
 	b.p.BatchAuto = append(b.p.BatchAuto, ai)
 	x := b.batchClock[bi]
 	unit := "Load" + bs
@@ -192,50 +202,56 @@ func (b *builder) buildBatch(bi int) {
 			}
 			e.Done()
 
-			arrive := a.Edge(L.arr[c][p], b.dropTarget(&L, p)).
-				Sync("dropped"+cs, ta.Recv)
+			var buf [2]expr.Assign
+			as := buf[:0]
 			switch p {
 			case PtEntry1, PtExit1:
 				if b.guided {
 					// wantlift[p] := (next[b] >= 4 ? 1 : 0)
-					arrive.AssignExpr(set(b.wantlift[p], flag(b.offTrackExpr(bi, 1))))
+					as = append(as, set(b.wantlift[p], flag(b.offTrackExpr(bi, 1))))
 				}
 			case PtEntry2, PtExit2:
 				if b.guided {
 					// wantlift[p] := ((next[b] <= 3 || next[b] >= 6) ? 1 : 0)
-					arrive.AssignExpr(set(b.wantlift[p], flag(b.offTrackExpr(bi, 2))))
+					as = append(as, set(b.wantlift[p], flag(b.offTrackExpr(bi, 2))))
 				}
 			case PtBuffer:
 				if b.guided {
 					// wantlift[p] := (holdocc == 0 ? 1 : 0)
-					arrive.AssignExpr(set(b.wantlift[p], flag(eq(b.holdocc, num(0)))))
+					as = append(as, set(b.wantlift[p], flag(eq(b.holdocc, num(0)))))
 				}
 				if b.g.CastPace {
-					arrive.AssignExpr(set(b.progress[bi], num(1))) // progress[b] := 1
+					as = append(as, set(b.progress[bi], num(1))) // progress[b] := 1
 				}
 			case PtHold:
 				if b.g.CastPace {
-					arrive.AssignExpr(set(b.progress[bi], num(1))) // progress[b] := 1
+					as = append(as, set(b.progress[bi], num(1))) // progress[b] := 1
 				}
 			case PtStore:
-				arrive.AssignExpr(incr(b.stored)) // stored := stored + 1
+				as = append(as, incr(b.stored)) // stored := stored + 1
 			}
-			arrive.Done()
+			a.Edge(L.arr[c][p], b.dropTarget(&L, p)).
+				Sync("dropped"+cs, ta.Recv).
+				AssignExpr(as...).
+				Done()
 		}
 	}
 
 	// Casting: start (in production-list order), report to the recipe,
 	// wait for the cast to finish, then appear at the caster output as an
 	// empty ladle.
+	var buf [3]expr.Assign
+	// castnext := castnext + 1, holdocc := 0
+	startAs := append(buf[:0], incr(b.castnext), set(b.holdocc, num(0)))
 	start := a.Edge(L.hold, L.casting0).
 		GuardExpr(eq(b.castnext, num(bi))). // castnext == b
-		Sync("caststart", ta.Send).
-		AssignExpr(incr(b.castnext), set(b.holdocc, num(0))) // castnext := castnext + 1, holdocc := 0
+		Sync("caststart", ta.Send)
 	if b.guided {
 		// wantlift[4] := bufocc
-		start.AssignExpr(set(b.wantlift[PtBuffer], b.bufocc)).
-			Note("guide: flag a buffered batch once the holding place frees")
+		startAs = append(startAs, set(b.wantlift[PtBuffer], b.bufocc))
+		start.Note("guide: flag a buffered batch once the holding place frees")
 	}
+	start.AssignExpr(startAs...)
 	if b.g.CastPace && bi < b.n-1 {
 		// Casting must be continuous: commit to a cast only when the next
 		// ladle of the production list is already staged in the buffer (or
@@ -251,15 +267,16 @@ func (b *builder) buildBatch(bi int) {
 		Sync("atcast_"+bs, ta.Send).
 		Done()
 
-	eject := a.Edge(L.casting, L.out).
-		GuardExpr(eq(b.outocc, num(0))). // outocc == 0
-		Sync("castdone", ta.Recv).
-		AssignExpr(set(b.outocc, num(1))) // outocc := 1
+	ejectAs := append(buf[:0], set(b.outocc, num(1))) // outocc := 1
 	if b.guided {
 		// next[b] := store, wantlift[6] := 1
-		eject.AssignExpr(set(b.next[bi], b.store), set(b.wantlift[PtCastOut], num(1)))
+		ejectAs = append(ejectAs, set(b.next[bi], b.store), set(b.wantlift[PtCastOut], num(1)))
 	}
-	ei = eject.Done()
+	ei = a.Edge(L.casting, L.out).
+		GuardExpr(eq(b.outocc, num(0))). // outocc == 0
+		Sync("castdone", ta.Recv).
+		AssignExpr(ejectAs...).
+		Done()
 	b.cmd(ai, ei, "Caster", "EjectLoad"+bs, bi)
 }
 
@@ -285,33 +302,36 @@ func (b *builder) buildMove(a *ta.Automaton, ai, bi int, L *batchLocs, tr, from,
 	a.SetInvariant(transit, ta.LE(x, pm.BMove))
 
 	occ := b.trackOcc(tr)
-	claim := a.Edge(L.slot[tr][from], transit).
-		GuardExpr(eq(occ[to], num(0))).   // posi[to] == 0
-		AssignExpr(set(occ[to], num(1))). // posi[to] := 1
-		Reset(x)
+	var buf [3]expr.Assign
+	as := append(buf[:0], set(occ[to], num(1))) // posi[to] := 1
 	if m := MachineAtSlot(tr, from); m != 0 {
-		claim.AssignExpr(set(b.atm[bi], num(0))) // atm[b] := 0
+		as = append(as, set(b.atm[bi], num(0))) // atm[b] := 0
 	}
 	if b.guided && (from == SlotLoad || from == SlotExit) {
-		claim.AssignExpr(set(b.wantlift[b.slotPoint(tr, from)], num(0))) // wantlift[p] := 0
+		as = append(as, set(b.wantlift[b.slotPoint(tr, from)], num(0))) // wantlift[p] := 0
 	}
+	claim := a.Edge(L.slot[tr][from], transit).
+		GuardExpr(eq(occ[to], num(0))). // posi[to] == 0
+		AssignExpr(as...).
+		Reset(x)
 	if b.g.Route {
 		claim.GuardExpr(b.moveGuard(bi, tr, from, to)).Note("guide: move only along the direct route")
 	}
 	ei := claim.Done()
 	b.cmd(ai, ei, unit, "Track"+ts+dir, from)
 
-	arrive := a.Edge(transit, L.slot[tr][to]).
-		When(ta.GE(x, pm.BMove)).
-		AssignExpr(set(occ[from], num(0))) // posi[from] := 0
+	as = append(buf[:0], set(occ[from], num(0))) // posi[from] := 0
 	if m := MachineAtSlot(tr, to); m != 0 {
-		arrive.AssignExpr(set(b.atm[bi], num(m))) // atm[b] := m
+		as = append(as, set(b.atm[bi], num(m))) // atm[b] := m
 	}
 	if b.guided && (to == SlotLoad || to == SlotExit) {
 		// wantlift[p] := (offtrack ? 1 : 0)
-		arrive.AssignExpr(set(b.wantlift[b.slotPoint(tr, to)], flag(b.offTrackExpr(bi, tr))))
+		as = append(as, set(b.wantlift[b.slotPoint(tr, to)], flag(b.offTrackExpr(bi, tr))))
 	}
-	arrive.Done()
+	a.Edge(transit, L.slot[tr][to]).
+		When(ta.GE(x, pm.BMove)).
+		AssignExpr(as...).
+		Done()
 }
 
 // slotPoint maps a track end slot to its overhead point.

@@ -17,6 +17,11 @@ func (b *builder) buildCaster() {
 	b.p.CasterAuto = len(b.sys.Automata) - 1
 	cc := b.casterClock
 	n := b.n
+	if n > 1 {
+		reserve(a, 4, 4)
+	} else {
+		reserve(a, 4, 3)
+	}
 	castTime := b.cfg.Params.CastTime
 
 	idle := a.AddLocation("idle", ta.Normal)
@@ -67,6 +72,7 @@ func (b *builder) buildCaster() {
 func (b *builder) buildList() {
 	a := b.sys.AddAutomaton("List")
 	b.p.ListAuto = len(b.sys.Automata) - 1
+	reserve(a, 2, 1)
 	producing := a.AddLocation("producing", ta.Normal)
 	finished := a.AddLocation("finished", ta.Normal)
 	a.SetInit(producing)

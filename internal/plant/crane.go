@@ -22,6 +22,12 @@ func (b *builder) buildCrane(ci int) {
 	b.p.CraneAuto[ci] = ai
 	x := b.craneClock[ci]
 	pm := b.cfg.Params
+	// Per load state, one transit location and two edges per move; one
+	// location and two edges per pickup and per set-down.
+	lo, hi := b.craneRange(ci)
+	moves := 2 * 2 * (hi - lo)
+	ends := len(b.liftPoints(ci)) + len(b.dropPoints(ci))
+	reserve(a, 2*NumPts+moves+ends, 2*moves+2*ends)
 
 	empty := make([]int, NumPts)
 	full := make([]int, NumPts)
@@ -38,7 +44,6 @@ func (b *builder) buildCrane(ci int) {
 
 	// Movement edges, both load states and directions, within the crane's
 	// work region (a guide; the whole track when unguided).
-	lo, hi := b.craneRange(ci)
 	for p := lo; p <= hi; p++ {
 		for _, to := range []int{p - 1, p + 1} {
 			if to < lo || to > hi {
@@ -61,16 +66,17 @@ func (b *builder) buildCrane(ci int) {
 			Done()
 		b.cmd(ai, ei, unit, "PickupAt"+PointName(p), p)
 		// The landing position frees: posi[0] := 0, bufocc := 0, ...
+		var buf [2]expr.Assign
+		as := append(buf[:0], set(b.pointOcc(p), num(0)))
 		done := a.Edge(hoist, full[p]).
 			When(ta.GE(x, pm.CUp)).
-			Sync("lifted"+cs, ta.Send).
-			AssignExpr(set(b.pointOcc(p), num(0)))
+			Sync("lifted"+cs, ta.Send)
 		if b.guided {
 			// creqby := c
-			done.AssignExpr(set(b.creqby, num(c))).
-				Note("guide: ask the other crane to give way while loaded")
+			as = append(as, set(b.creqby, num(c)))
+			done.Note("guide: ask the other crane to give way while loaded")
 		}
-		done.Done()
+		done.AssignExpr(as...).Done()
 	}
 
 	// Set-downs: receive the batch's drop request, lower for CDown.

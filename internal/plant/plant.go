@@ -532,6 +532,13 @@ var (
 	craneSpan = [2][2]int{{PtEntry1, PtBuffer}, {PtBuffer, PtStore}}
 )
 
+// reserve sizes a new automaton's location and edge lists for exactly the
+// counts its builder adds, so adding them never regrows either list.
+func reserve(a *ta.Automaton, locs, edges int) {
+	a.Locations = make([]ta.Location, 0, locs)
+	a.Edges = make([]ta.Edge, 0, edges)
+}
+
 // liftPoints returns the points crane ci may pick up at.
 func (b *builder) liftPoints(ci int) []int {
 	if b.g.Regions {

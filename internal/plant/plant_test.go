@@ -365,3 +365,39 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("some-guides effort %d suspiciously close to the unguided budget", nSome)
 	}
 }
+
+// TestBuildReservesExactly: each automaton's location and edge lists are
+// reserved for exactly what its builder adds, and each edge gets its
+// updates in one slice of their size, so building never regrows a list.
+// It covers every quality, guide level and guide family, since those
+// change the counts.
+func TestBuildReservesExactly(t *testing.T) {
+	var cfgs []Config
+	lists := [][]Quality{CycleQualities(1), CycleQualities(3), CycleQualities(5), {Q4, Q5, Q1}, {Q4, Q4}}
+	for _, qs := range lists {
+		for _, g := range []GuideLevel{NoGuides, SomeGuides, AllGuides} {
+			cfgs = append(cfgs, Config{Qualities: qs, Guides: g})
+		}
+		cfgs = append(cfgs, Config{Qualities: qs, Guides: AllGuides, PourLookahead: 2})
+		for _, gs := range []GuideSet{
+			{Route: true}, {Steer: true}, {Demand: true}, {Regions: true}, {BufferGate: true},
+			{Balance: true}, {CastPace: true}, {PourOrder: true}, {PourWindow: 2},
+		} {
+			cfgs = append(cfgs, Config{Qualities: qs, GuideSet: &gs})
+		}
+	}
+	for _, cfg := range cfgs {
+		p := MustBuild(cfg)
+		for _, a := range p.Sys.Automata {
+			if cap(a.Locations) != len(a.Locations) || cap(a.Edges) != len(a.Edges) {
+				t.Errorf("%s %s: %d of %d reserved locations, %d of %d reserved edges",
+					p.Sys.Name, a.Name, len(a.Locations), cap(a.Locations), len(a.Edges), cap(a.Edges))
+			}
+			for ei, e := range a.Edges {
+				if cap(e.Assigns) != len(e.Assigns) {
+					t.Errorf("%s %s edge %d: %d updates in a slice of %d", p.Sys.Name, a.Name, ei, len(e.Assigns), cap(e.Assigns))
+				}
+			}
+		}
+	}
+}

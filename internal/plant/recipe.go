@@ -19,6 +19,18 @@ func (b *builder) buildRecipe(bi int) {
 	bs := strconv.Itoa(bi)
 	a := b.sys.AddAutomaton("Recipe" + bs + "_" + qualityName(q))
 	b.p.RecipeAuto = append(b.p.RecipeAuto, len(b.sys.Automata)-1)
+	// A pour edge per track the first stage can start on, an on edge per
+	// machine of each stage and an off edge per stage, and the cast report.
+	edges := 1
+	for tr := 1; tr <= NumTracks; tr++ {
+		if machineOnTrack(stages[0], tr) != 0 {
+			edges++
+		}
+	}
+	for _, st := range stages {
+		edges += len(st.Machines) + 1
+	}
+	reserve(a, 1+2*len(stages)+2, edges)
 
 	t := b.treatClock[bi]
 	tot := b.totalClock[bi]

@@ -102,7 +102,8 @@ const (
 // in-lined reliable-send block.
 func Program(s schedule.Schedule, codec *Codec, opts Options) (rcx.Program, error) {
 	opts = opts.withDefaults()
-	var prog rcx.Program
+	// At most a Wait and a send block per line, and the Halt.
+	prog := make(rcx.Program, 0, len(s.Lines)*(sendBlockLen+1)+1)
 	var now int64
 	for i, l := range s.Lines {
 		if d := l.Time - now; d > 0 {
@@ -117,7 +118,7 @@ func Program(s schedule.Schedule, codec *Codec, opts Options) (rcx.Program, erro
 		if !ok {
 			return nil, fmt.Errorf("synth: line %d: command %s not in codec", i, l.Cmd)
 		}
-		prog = append(prog, sendBlock(code, l.Cmd.String(), opts)...)
+		prog = appendSendBlock(prog, code, l.Cmd.String(), opts)
 	}
 	prog = append(prog, rcx.Instr{Op: rcx.OpHalt, Comment: "schedule complete"})
 	if err := prog.Validate(); err != nil {
@@ -126,23 +127,31 @@ func Program(s schedule.Schedule, codec *Codec, opts Options) (rcx.Program, erro
 	return prog, nil
 }
 
+// sendBlockLen is the number of instructions of a send block.
+const sendBlockLen = 15
+
 // sendBlock emits the Figure 6 reliable-send pattern for one command.
 func sendBlock(code int, label string, opts Options) rcx.Program {
-	return rcx.Program{
-		{Op: rcx.OpPlaySound, Args: []int{1}, Comment: label},
-		{Op: rcx.OpSendPBMessage, Args: []int{rcx.SrcConst, code}},
-		{Op: rcx.OpSetVar, Args: []int{varAck, rcx.SrcMessage, 0}, Comment: "wait for ack"},
-		{Op: rcx.OpWhile, Args: []int{rcx.SrcVar, varAck, rcx.RelNE, rcx.SrcConst, code}},
-		{Op: rcx.OpWait, Args: []int{rcx.SrcConst, opts.AckPollTicks}},
-		{Op: rcx.OpSetVar, Args: []int{varAck, rcx.SrcMessage, 0}, Comment: "read the message"},
-		{Op: rcx.OpSumVar, Args: []int{varTries, rcx.SrcConst, 1}},
-		{Op: rcx.OpIf, Args: []int{rcx.SrcVar, varTries, rcx.RelGT, rcx.SrcConst, opts.ResendAfter}, Comment: fmt.Sprintf("if polled %d times", opts.ResendAfter)},
-		{Op: rcx.OpPlaySound, Args: []int{1}},
-		{Op: rcx.OpSendPBMessage, Args: []int{rcx.SrcConst, code}, Comment: "send again"},
-		{Op: rcx.OpSetVar, Args: []int{varTries, rcx.SrcConst, 0}},
-		{Op: rcx.OpEndIf},
-		{Op: rcx.OpEndWhile},
-		{Op: rcx.OpSetVar, Args: []int{varTries, rcx.SrcConst, 0}},
-		{Op: rcx.OpClearPBMessage},
-	}
+	return appendSendBlock(make(rcx.Program, 0, sendBlockLen), code, label, opts)
+}
+
+// appendSendBlock appends sendBlock's instructions to prog.
+func appendSendBlock(prog rcx.Program, code int, label string, opts Options) rcx.Program {
+	return append(prog,
+		rcx.Instr{Op: rcx.OpPlaySound, Args: []int{1}, Comment: label},
+		rcx.Instr{Op: rcx.OpSendPBMessage, Args: []int{rcx.SrcConst, code}},
+		rcx.Instr{Op: rcx.OpSetVar, Args: []int{varAck, rcx.SrcMessage, 0}, Comment: "wait for ack"},
+		rcx.Instr{Op: rcx.OpWhile, Args: []int{rcx.SrcVar, varAck, rcx.RelNE, rcx.SrcConst, code}},
+		rcx.Instr{Op: rcx.OpWait, Args: []int{rcx.SrcConst, opts.AckPollTicks}},
+		rcx.Instr{Op: rcx.OpSetVar, Args: []int{varAck, rcx.SrcMessage, 0}, Comment: "read the message"},
+		rcx.Instr{Op: rcx.OpSumVar, Args: []int{varTries, rcx.SrcConst, 1}},
+		rcx.Instr{Op: rcx.OpIf, Args: []int{rcx.SrcVar, varTries, rcx.RelGT, rcx.SrcConst, opts.ResendAfter}, Comment: fmt.Sprintf("if polled %d times", opts.ResendAfter)},
+		rcx.Instr{Op: rcx.OpPlaySound, Args: []int{1}},
+		rcx.Instr{Op: rcx.OpSendPBMessage, Args: []int{rcx.SrcConst, code}, Comment: "send again"},
+		rcx.Instr{Op: rcx.OpSetVar, Args: []int{varTries, rcx.SrcConst, 0}},
+		rcx.Instr{Op: rcx.OpEndIf},
+		rcx.Instr{Op: rcx.OpEndWhile},
+		rcx.Instr{Op: rcx.OpSetVar, Args: []int{varTries, rcx.SrcConst, 0}},
+		rcx.Instr{Op: rcx.OpClearPBMessage},
+	)
 }

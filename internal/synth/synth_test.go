@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,5 +142,67 @@ func TestOptionsDefaults(t *testing.T) {
 	o = Options{TicksPerUnit: 10, AckPollTicks: 1, ResendAfter: 5}.withDefaults()
 	if o.TicksPerUnit != 10 || o.AckPollTicks != 1 || o.ResendAfter != 5 {
 		t.Errorf("explicit options clobbered: %+v", o)
+	}
+}
+
+// TestProgramSendBlocks: Program appends each command's send block in
+// place into one buffer sized up front, and every block is sendBlock's.
+func TestProgramSendBlocks(t *testing.T) {
+	s := demoSchedule()
+	codec := NewCodec(s)
+	opts := Options{}.withDefaults()
+	prog, err := Program(s, codec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(s.Lines)*(sendBlockLen+1) + 1; cap(prog) != want {
+		t.Errorf("program buffer capacity %d, want the %d reserved up front", cap(prog), want)
+	}
+	i := 0
+	for _, l := range s.Lines {
+		if prog[i].Op == rcx.OpWait && strings.HasPrefix(prog[i].Comment, "Delay") {
+			i++
+		}
+		code, _ := codec.Encode(l.Cmd)
+		block := sendBlock(code, l.Cmd.String(), opts)
+		if len(block) != sendBlockLen {
+			t.Fatalf("send block of %d instructions, want %d", len(block), sendBlockLen)
+		}
+		if !reflect.DeepEqual(prog[i:i+len(block)], block) {
+			t.Fatalf("line %v: program block differs from sendBlock", l.Cmd)
+		}
+		i += len(block)
+	}
+	if i != len(prog)-1 || prog[i].Op != rcx.OpHalt {
+		t.Fatalf("program has %d instructions after its blocks, want the Halt alone", len(prog)-i)
+	}
+}
+
+// BenchmarkProgram synthesizes the control program of the 3-batch plant's
+// schedule, found by the guided DFS search, as every synthesis request
+// does once its schedule is concretized.
+func BenchmarkProgram(b *testing.B) {
+	p, err := plant.Build(plant.Config{Qualities: plant.CycleQualities(3), Guides: plant.AllGuides})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := mc.DefaultOptions(mc.DFS)
+	opts.Observer = &mc.FuncObserver{Priority: p.Priority}
+	res, err := mc.Explore(p.Sys, p.Goal, opts)
+	if err != nil || !res.Found {
+		b.Fatalf("no schedule: %v", err)
+	}
+	steps, err := mc.Concretize(p.Sys, res.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := schedule.FromTrace(p, steps)
+	codec := NewCodec(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Program(s, codec, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
